@@ -24,6 +24,7 @@ from .errors import (
     HobsError,
     IndexOutOfRange,
     NaNInput,
+    NonFiniteInput,
     NonQuadraticFirstMoment,
     NonSquareError,
     NotAProjector,

@@ -93,6 +93,8 @@ def _load_json(path: str):
 
 def _parse_complex_entries(obj, path: str) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise _InputError(f"{path}: entries must be finite, found NaN or infinity")
     if arr.ndim == 3 and arr.shape[2] == 2:  # matrix of [re, im]
         return arr[..., 0] + 1.0j * arr[..., 1]
     if arr.ndim == 2 and arr.shape[1] == 2:  # vector of [re, im]
@@ -100,15 +102,16 @@ def _parse_complex_entries(obj, path: str) -> np.ndarray:
     raise _InputError(f"{path}: expected [re, im] pairs (vector) or rows of pairs (matrix)")
 
 
-def _load_complex(path: str) -> np.ndarray:
+def _load_complex(path: str) -> tuple[object, np.ndarray]:
+    """The file's parsed JSON, which the input digest hashes, and its complex entries."""
+    data = _load_json(path)
     try:
-        return _parse_complex_entries(_load_json(path), path)
+        return data, _parse_complex_entries(data, path)
     except (ValueError, TypeError) as exc:
         raise _InputError(f"{path}: malformed numeric data: {exc}") from exc
 
 
-def _load_operator(path: str) -> HermitianOperator:
-    entries = _load_complex(path)
+def _as_operator(entries: np.ndarray, path: str) -> HermitianOperator:
     if entries.ndim != 2:
         raise _InputError(f"{path}: expected a matrix, got a vector")
     try:
@@ -117,12 +120,17 @@ def _load_operator(path: str) -> HermitianOperator:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _load_density(path: str) -> DensityMatrix:
-    entries = _load_complex(path)
+def _load_operator(path: str) -> tuple[object, HermitianOperator]:
+    data, entries = _load_complex(path)
+    return data, _as_operator(entries, path)
+
+
+def _load_density(path: str) -> tuple[object, DensityMatrix]:
+    data, entries = _load_complex(path)
     if entries.ndim != 2:
         raise _InputError(f"{path}: expected a matrix, got a vector")
     try:
-        return DensityMatrix(entries=entries)
+        return data, DensityMatrix(entries=entries)
     except (HobsError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
@@ -134,11 +142,11 @@ def _parse_expression(text: str) -> expr.BorelExpr:
         raise _InputError(f"bad expression: {exc}") from exc
 
 
-def _digest(file_paths: list[str], extra: dict) -> str:
-    """SHA-256 over canonicalized input bytes plus the governing config."""
+def _digest(inputs: list, extra: dict) -> str:
+    """SHA-256 over the canonicalized parsed input files plus the governing config."""
     h = hashlib.sha256()
-    for path in file_paths:
-        canonical = json.dumps(_load_json(path), sort_keys=True, separators=(",", ":"))
+    for data in inputs:
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         piece = canonical.encode()
         h.update(len(piece).to_bytes(8, "big"))
         h.update(piece)
@@ -148,29 +156,35 @@ def _digest(file_paths: list[str], extra: dict) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
+def _jsonable(value, nulled: list[str], key: str):
+    """Plain JSON data; a non-finite float becomes None and its key is added to nulled."""
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(z.real), float(z.imag)] for z in value]
-        return [float(x) for x in value]
+        value = [[z.real, z.imag] for z in value] if np.iscomplexobj(value) else list(value)
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        nulled.append(key)
+        return None
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, nulled, f"{key}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, nulled, key) for v in value]
     return value
 
 
 def _emit_report(command: str, digest: str, results: dict, passed: bool, caveats: list[str], out: str | None) -> None:
+    nulled: list[str] = []
+    results = _jsonable(results, nulled, "results")
+    if nulled:
+        caveats = list(caveats) + [f"non-finite values reported as null: {', '.join(sorted(set(nulled)))}"]
     report = {
         "command": command,
         "inputs_digest": digest,
-        "results": _jsonable(results),
+        "results": results,
         "pass": passed,
         "caveats": list(caveats),
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -225,13 +239,13 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
     config = RunConfig(seed=seed, samples=samples, tolerance=tolerance, gamma_kind=gamma_kind, output_path=output_path, workers=workers)
     if samples < 2:
         raise click.UsageError("--samples must be >= 2 for Monte Carlo verification")
-    T = _load_operator(t_file)
-    D = _load_density(d_file)
+    t_data, T = _load_operator(t_file)
+    d_data, D = _load_density(d_file)
     if T.dim != D.dim:
         raise _InputError(f"dimension mismatch: {t_file} is {T.dim}x{T.dim}, {d_file} is {D.dim}x{D.dim}")
     b = _parse_expression(b_expr)
     digest = _digest(
-        [t_file, d_file],
+        [t_data, d_data],
         {"b": b_expr, "command": "verify-trace", "gamma": gamma_kind, "samples": samples, "seed": seed, "tol": tolerance},
     )
 
@@ -278,9 +292,9 @@ def cmd_support(t_file, samples, rays, seed, tolerance, gamma_kind, output_path)
     config = RunConfig(seed=seed, samples=samples, tolerance=tolerance, gamma_kind=gamma_kind, output_path=output_path)
     if samples < 1 or rays < 1:
         raise click.UsageError("--samples and --rays must be >= 1")
-    T = _load_operator(t_file)
+    t_data, T = _load_operator(t_file)
     digest = _digest(
-        [t_file],
+        [t_data],
         {"command": "support", "gamma": gamma_kind, "rays": rays, "samples": samples, "seed": seed, "tol": tolerance},
     )
 
@@ -310,9 +324,10 @@ def cmd_support(t_file, samples, rays, seed, tolerance, gamma_kind, output_path)
 def cmd_context(family_files, trials, seed, tolerance, gamma_kind, output_path):
     """Joint-diagonalize a commuting family and verify algebra closure."""
     config = RunConfig(seed=seed, samples=2, tolerance=tolerance, gamma_kind=gamma_kind, output_path=output_path)
-    family = [_load_operator(path) for path in family_files]
+    loaded = [_load_operator(path) for path in family_files]
+    family = [operator for _, operator in loaded]
     digest = _digest(
-        list(family_files),
+        [data for data, _ in loaded],
         {"command": "context", "gamma": gamma_kind, "seed": seed, "tol": tolerance, "trials": trials},
     )
 
@@ -347,10 +362,10 @@ def cmd_context(family_files, trials, seed, tolerance, gamma_kind, output_path):
 def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma_kind, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
     config = RunConfig(seed=seed, samples=2, tolerance=tolerance, gamma_kind=gamma_kind, output_path=output_path)
-    A = _load_operator(a_file)
-    B = _load_operator(b_file)
+    a_data, A = _load_operator(a_file)
+    b_data, B = _load_operator(b_file)
     digest = _digest(
-        [a_file, b_file],
+        [a_data, b_data],
         {"command": "nogo", "gamma": gamma_kind, "search": search, "seed": seed, "tol": tolerance},
     )
 
@@ -384,14 +399,17 @@ def _sample_inputs(path: str, observable_path: str | None):
     A vector gives the pure mixture on its ray; a density matrix gives
     its eigen-ensemble; a Hermitian non-density matrix is taken as the
     observable over the maximally mixed state.  --observable overrides
-    the observable in all cases (default: the input reread as operator).
+    the observable in all cases (default: the input read as an operator).
     """
-    entries = _load_complex(path)
+    _, entries = _load_complex(path)
     if entries.ndim == 1:
+        norm_sq = np.vdot(entries, entries).real
+        if not 0.0 < norm_sq < math.inf:
+            raise _InputError(f"{path}: the state vector's norm must be nonzero and finite")
         ensemble = Ensemble(weights=np.array([1.0]), rays=entries[None, :] / np.linalg.norm(entries))
-        default_op = validate_hermitian(np.outer(entries, entries.conj()) / np.vdot(entries, entries).real)
+        default_op = validate_hermitian(np.outer(entries, entries.conj()) / norm_sq)
     else:
-        operator = _load_operator(path)
+        operator = _as_operator(entries, path)
         try:
             density = DensityMatrix(entries=operator.entries)
             ensemble = ensemble_from_density(density)
@@ -400,7 +418,7 @@ def _sample_inputs(path: str, observable_path: str | None):
             density = DensityMatrix(entries=np.eye(dim, dtype=complex) / dim)
             ensemble = ensemble_from_density(density)
         default_op = operator
-    observable = _load_operator(observable_path) if observable_path else default_op
+    observable = _load_operator(observable_path)[1] if observable_path else default_op
     if observable.dim != ensemble.dim:
         raise _InputError(f"observable dimension {observable.dim} != state dimension {ensemble.dim}")
     return ensemble, observable

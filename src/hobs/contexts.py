@@ -53,6 +53,7 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _cluster_offsets,
     commutes,
     validate_hermitian,
 )
@@ -188,27 +189,17 @@ def joint_diagonalize(
         coeffs = rng.uniform(1.0, 2.0, size=len(ops))
         combo = np.tensordot(coeffs, [op.entries for op in ops], axes=1)
         w, v = np.linalg.eigh((combo + combo.conj().T) / 2.0)
-        gap_tol = JOINT_DIAG_TOL * max(1.0, float(np.max(np.abs(w))))
-        clusters: list[slice] = []
-        start = 0
-        for stop in range(1, len(w) + 1):
-            if stop == len(w) or w[stop] - w[stop - 1] > gap_tol:
-                clusters.append(slice(start, stop))
-                start = stop
-        projectors = []
-        for sl in clusters:
-            block = v[:, sl]
-            proj = block @ block.conj().T
-            projectors.append((proj + proj.conj().T) / 2.0)
-        projectors = np.array(projectors)
+        offsets = _cluster_offsets(w, JOINT_DIAG_TOL * max(1.0, float(np.max(np.abs(w)))))
+        sizes = np.diff(offsets, append=len(w))
+        labels = np.arange(1, len(offsets) + 1, dtype=float)
+        decomposition = SpectralDecomposition(eigenvalues=labels, vectors=v, offsets=offsets)
 
         transfers = []
         worst = 0.0
         for op in ops:
-            rotated = v.conj().T @ op.entries @ v
-            diag = np.diag(rotated).real
-            table = np.array([float(np.mean(diag[sl])) for sl in clusters])
-            rebuilt = np.tensordot(table, projectors, axes=1)
+            diag = np.diag(v.conj().T @ op.entries @ v).real
+            table = np.add.reduceat(diag, offsets) / sizes
+            rebuilt = decomposition.operator_with_values(table)
             err = float(np.linalg.norm(rebuilt - op.entries))
             worst = max(worst, err / max(1.0, float(np.linalg.norm(op.entries))))
             transfers.append(table)
@@ -216,10 +207,7 @@ def joint_diagonalize(
             last_error = worst
             continue
 
-        labels = np.arange(1, len(clusters) + 1, dtype=float)
-        decomposition = SpectralDecomposition(eigenvalues=labels, projectors=projectors)
-        entries = decomposition.reconstruct()
-        generator = HermitianOperator(entries=(entries + entries.conj().T) / 2.0)
+        generator = HermitianOperator(entries=decomposition.reconstruct())
         f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma)
         members = tuple(
             ContextMember(operator=op, transfer=table) for op, table in zip(ops, transfers)
@@ -479,8 +467,7 @@ class PartitionContext:
         if c.shape != (len(self.propositions),):
             raise ValueError(f"need {len(self.propositions)} coefficients, got {c.shape}")
         table = np.concatenate(([0.0], c)) if self.has_complement else c
-        entries = np.tensordot(c, [p.projector for p in self.propositions], axes=1)
-        operator = HermitianOperator(entries=(entries + entries.conj().T) / 2.0)
+        operator = HermitianOperator(entries=self.generator.decomposition.operator_with_values(table))
         return TransferredObservable(base=self.generator, table=table, operator=operator)
 
 
@@ -506,22 +493,21 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
             if np.linalg.norm(cleaned[i] @ cleaned[j]) > PROJECTOR_TOL * dim:
                 raise NotOrthogonalFamily(f"members {i} and {j} are not orthogonal")
 
-    total = np.sum(cleaned, axis=0)
-    complement = np.eye(dim, dtype=complex) - total
-    complement_rank = dim - int(round(np.trace(total).real))
-    labels = np.arange(1, len(cleaned) + 1, dtype=float)
-    if complement_rank > 0:
-        eigenvalues = np.concatenate(([0.0], labels))
-        family = np.array([complement] + cleaned)
-    else:
-        eigenvalues = labels
-        family = np.array(cleaned)
-    decomposition = SpectralDecomposition(eigenvalues=eigenvalues, projectors=family)
-    entries = decomposition.reconstruct()
-    generator_op = HermitianOperator(entries=(entries + entries.conj().T) / 2.0)
+    # each member's range basis is the eigenvalue-1 block of its proposition;
+    # the complement's basis is the rest of a complete QR basis of their span
+    blocks = [S.vectors[:, S.offsets[-1]:] for S in (p.underlying.decomposition for p in props)]
+    ranges = np.hstack(blocks)
+    complement = np.linalg.qr(ranges, mode="complete")[0][:, ranges.shape[1]:]
+    eigenvalues = np.arange(1, len(blocks) + 1, dtype=float)
+    if complement.shape[1] > 0:
+        eigenvalues = np.concatenate(([0.0], eigenvalues))
+        blocks = [complement] + blocks
+    offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    decomposition = SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.hstack(blocks), offsets=offsets)
+    generator_op = HermitianOperator(entries=decomposition.reconstruct())
     generator = HiddenObservable(operator=generator_op, decomposition=decomposition, gamma=gamma)
     return PartitionContext(
-        propositions=tuple(props), generator=generator, has_complement=complement_rank > 0
+        propositions=tuple(props), generator=generator, has_complement=complement.shape[1] > 0
     )
 
 

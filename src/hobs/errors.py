@@ -9,6 +9,10 @@ class NonSquareError(HobsError):
     """Input matrix is not square."""
 
 
+class NonFiniteInput(HobsError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class HermiticityViolation(HobsError):
     """Skew-Hermitian part of the input exceeds tolerance."""
 

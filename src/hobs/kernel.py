@@ -37,6 +37,7 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _cluster_offsets,
     expectation,
     spectral_decompose,
 )
@@ -187,15 +188,13 @@ def line_weights(S: SpectralDecomposition, psi: StateVector) -> np.ndarray:
     if S.dim != psi.dim:
         raise DimensionMismatch(f"dimension mismatch: {S.dim} vs {psi.dim}")
     v = psi.components
-    p = np.einsum("a,iab,b->i", v.conj(), S.projectors, v).real
-    p = np.maximum(p, 0.0)
-    return p / np.vdot(v, v).real
+    return _bulk_line_weights(S, v) / np.vdot(v, v).real
 
 
 def _bulk_line_weights(S: SpectralDecomposition, rays: np.ndarray) -> np.ndarray:
-    """Weights for a batch of unit rays, shape (n_rays, m)."""
-    p = np.einsum("ra,iab,rb->ri", rays.conj(), S.projectors, rays).real
-    return np.maximum(p, 0.0)
+    """Weights of unit rays (the last axis), shape (..., m): block sums of |<v_j, psi>|^2."""
+    amplitudes = rays.conj() @ S.vectors
+    return np.add.reduceat(amplitudes.real**2 + amplitudes.imag**2, S.offsets, axis=-1)
 
 
 def _piece_index(cumulative: np.ndarray, u) -> np.ndarray:
@@ -210,6 +209,11 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     c = np.minimum(np.cumsum(weights), 1.0)
     c[-1] = 1.0
     return c
+
+
+def _quantile_values(values: np.ndarray, weights: np.ndarray, u) -> np.ndarray:
+    """values at the pieces of u on a line whose spectral weights are `weights`."""
+    return values[_piece_index(_cumulative(weights), u)]
 
 
 def cdf(S: SpectralDecomposition, psi: StateVector, r: float) -> float:
@@ -310,8 +314,7 @@ class HiddenObservable:
 
     def values_on_line(self, psi: StateVector, u: np.ndarray) -> np.ndarray:
         """Vectorized evaluate for many parameters on one line."""
-        c = _cumulative(line_weights(self.decomposition, psi))
-        return self.decomposition.eigenvalues[_piece_index(c, u)]
+        return _quantile_values(self.decomposition.eigenvalues, line_weights(self.decomposition, psi), u)
 
 
 def build_hidden_observable(T: HermitianOperator, gamma: GammaModel) -> HiddenObservable:
@@ -523,8 +526,9 @@ class HiddenProposition:
 def proposition_from_projector(E, gamma: GammaModel) -> HiddenProposition:
     """Build the proposition realizing a projector E.
 
-    The spectral data is pinned to the exact eigenvalues {0, 1} (with
-    projectors I-E and E), so the indicator takes exactly those values.
+    The spectral data is pinned to the exact eigenvalues {0, 1}, with the
+    eigenvectors of E split at 1/2 into bases of its kernel and range, so
+    the indicator takes exactly those values.
     """
     E = np.array(E, dtype=complex)
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
@@ -535,15 +539,12 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenProposition:
     E = (E + E.conj().T) / 2.0
     if np.linalg.norm(E @ E - E) > PROJECTOR_TOL * scale:
         raise NotAProjector("matrix is not idempotent within tolerance")
-    dim = E.shape[0]
-    rank = int(round(np.trace(E).real))
-    complement = np.eye(dim, dtype=complex) - E
-    if rank == 0:
-        S = SpectralDecomposition(eigenvalues=np.array([0.0]), projectors=np.array([np.eye(dim, dtype=complex)]))
-    elif rank == dim:
-        S = SpectralDecomposition(eigenvalues=np.array([1.0]), projectors=np.array([np.eye(dim, dtype=complex)]))
+    w, vectors = np.linalg.eigh(E)
+    kernel_dim = int(np.searchsorted(w, 0.5))  # eigenvalues near 0 come first
+    if kernel_dim in (0, E.shape[0]):
+        S = SpectralDecomposition(eigenvalues=[float(kernel_dim == 0)], vectors=vectors, offsets=[0])
     else:
-        S = SpectralDecomposition(eigenvalues=np.array([0.0, 1.0]), projectors=np.array([complement, E]))
+        S = SpectralDecomposition(eigenvalues=[0.0, 1.0], vectors=vectors, offsets=[0, kernel_dim])
     underlying = HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma)
     return HiddenProposition(projector=underlying.operator.entries, underlying=underlying)
 
@@ -574,17 +575,10 @@ def _cluster_distribution(
     Aligns supports whose entries agree only to rounding, e.g. transfer
     tables against independently decomposed eigenvalue lists.
     """
-    out_v: list[float] = []
-    out_w: list[float] = []
-    start = 0
-    for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop] - values[stop - 1] > tol:
-            chunk_w = weights[start:stop]
-            total = float(np.sum(chunk_w))
-            out_v.append(float(np.dot(values[start:stop], chunk_w) / total) if total > 0 else float(values[start]))
-            out_w.append(total)
-            start = stop
-    return np.array(out_v), np.array(out_w)
+    offsets = _cluster_offsets(values, tol)
+    totals = np.add.reduceat(weights, offsets)
+    means = np.add.reduceat(values * weights, offsets) / np.where(totals > 0, totals, 1.0)
+    return np.where(totals > 0, means, values[offsets]), totals
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ finite sums computed here and statistically for the sampling paths.
 
 Sampling follows a counter-based contract: sample i consumes exactly
 the four 64-bit words at counter block i of a Philox stream keyed by
-the seed, and reductions walk fixed-size blocks in index order with
-compensated summation.  Serial and worker-parallel runs therefore
+the seed, and reductions merge per-block centred moments of fixed-size
+blocks in index order.  Serial and worker-parallel runs therefore
 produce bit-identical results for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .kernel import (
     HiddenPoint,
     HiddenProposition,
     _bulk_line_weights,
+    _quantile_values,
     _values_on_spectrum,
     proposition_measure_on_line,
     u_from_words,
@@ -191,12 +193,14 @@ def _draw_block(mu: HiddenMixedState, stream: SampleStream, start: int, count: i
 def _block_values(
     f: HiddenObservable, mu: HiddenMixedState, stream: SampleStream, start: int, count: int
 ):
+    """Component indices, hidden parameters and values of f for one sample range."""
     k, u = _draw_block(mu, stream, start, count)
+    weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
     values = np.empty(count, dtype=float)
-    for comp, psi in enumerate(mu.ensemble.component_states()):
+    for comp in range(mu.ensemble.size):
         mask = k == comp
         if np.any(mask):
-            values[mask] = f.values_on_line(psi, u[mask])
+            values[mask] = _quantile_values(f.decomposition.eigenvalues, weights[comp], u[mask])
     return k, u, values
 
 
@@ -219,10 +223,13 @@ class McEstimate:
     n_samples: int
 
 
-def _kahan_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    y = x - comp
-    t = total + y
-    return t, (t - total) - y
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Chan-Golub-LeVeque update: (count, mean, M2) of two sample sets joined."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 def mc_estimate(
@@ -236,35 +243,37 @@ def mc_estimate(
 ) -> McEstimate:
     """Sample mean and CLT standard error of b(f) over n draws from mu.
 
-    Block partial sums are reduced in block order with compensated
-    summation, so the result does not depend on the worker count.
+    Each block contributes its centred moments (count, mean, M2), which
+    are merged in block order, so the result does not depend on the
+    worker count and the variance does not cancel when the mean is large
+    against the spread.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if f.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {mu.dim}")
 
-    def block_sums(block):
+    def block_moments(block):
         start, count = block
         _, _, values = _block_values(f, mu, stream, start, count)
         x = np.asarray(b(values), dtype=float)
         if x.shape != values.shape:  # constant callables may collapse the shape
             x = np.broadcast_to(x, values.shape)
-        return float(np.sum(x)), float(np.sum(x * x))
+        # shifting by the first value keeps a constant block's M2 exactly 0
+        shifted = x - x[0]
+        shifted_mean = np.mean(shifted)
+        centred = shifted - shifted_mean
+        return count, float(x[0] + shifted_mean), float(np.sum(centred * centred))
 
     blocks = list(stream.blocks(n))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_sums, blocks))
+            partials = list(pool.map(block_moments, blocks))
     else:
-        partials = [block_sums(block) for block in blocks]
+        partials = [block_moments(block) for block in blocks]
 
-    s1 = c1 = s2 = c2 = 0.0
-    for part1, part2 in partials:
-        s1, c1 = _kahan_add(s1, c1, part1)
-        s2, c2 = _kahan_add(s2, c2, part2)
-    mean = s1 / n
-    variance = max(0.0, (s2 - n * mean * mean) / (n - 1))
+    _, mean, m2 = functools.reduce(_merge_moments, partials)
+    variance = m2 / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(variance / n), n_samples=n)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     EigensolverFailure,
     EvaluationError,
     HermiticityViolation,
+    NonFiniteInput,
     NonSquareError,
 )
 from .intervals import Interval, IntervalUnion
@@ -54,6 +55,8 @@ def _as_complex_matrix(raw) -> np.ndarray:
     m = np.array(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
     return m
 
 
@@ -120,26 +123,48 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with orthogonal spectral projectors."""
+    """Distinct eigenvalues (ascending), each with an orthonormal eigenvector block.
+
+    Columns offsets[i]:offsets[i+1] of `vectors` (the last block runs to
+    the end) are an orthonormal basis of the eigenspace of eigenvalues[i],
+    so the spectral projector P_i is that block times its adjoint.
+    Per-line weights need only |<v_j, psi>|^2 summed over each block, so
+    no d x d projector is stored; matrices are built on request.
+    """
 
     eigenvalues: np.ndarray  # shape (m,), strictly increasing
-    projectors: np.ndarray  # shape (m, d, d)
+    vectors: np.ndarray  # shape (d, d), orthonormal columns grouped by eigenvalue
+    offsets: np.ndarray  # shape (m,), first column of each block; offsets[0] == 0
     source_norm: float = field(init=False)  # max |eigenvalue|
 
     def __post_init__(self):
         w = _readonly(np.array(self.eigenvalues, dtype=float))
-        p = _readonly(np.array(self.projectors, dtype=complex))
+        v = _readonly(np.array(self.vectors, dtype=complex))
+        o = _readonly(np.array(self.offsets, dtype=np.intp))
         object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "projectors", p)
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "offsets", o)
         object.__setattr__(self, "source_norm", float(np.max(np.abs(w))) if w.size else 0.0)
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.vectors.shape[0]
+
+    def operator_with_values(self, values) -> np.ndarray:
+        """The Hermitian matrix sum of values[i] * P_i."""
+        sizes = np.diff(self.offsets, append=self.vectors.shape[1])
+        v = self.vectors
+        m = (v * np.repeat(np.asarray(values, dtype=float), sizes)) @ v.conj().T
+        return (m + m.conj().T) / 2.0
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue * projector; reproduces the source operator."""
-        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
+        return self.operator_with_values(self.eigenvalues)
+
+
+def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Start index of each run of ascending values whose neighbours are within gap_tol."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > gap_tol) + 1))
 
 
 def validate_hermitian(raw) -> HermitianOperator:
@@ -163,28 +188,17 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
     """Eigendecompose T and merge near-degenerate eigenvalues.
 
     Eigenvalues closer than EIGENVALUE_MERGE_RTOL * max(1, ||T||_2) are
-    clustered into a single spectral projector; the cluster carries the
-    mean of its eigenvalues.
+    clustered into a single eigenspace; the cluster carries the mean of
+    its eigenvalues.
     """
     try:
         w, v = np.linalg.eigh(T.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    gap_tol = EIGENVALUE_MERGE_RTOL * scale
-    eigenvalues = []
-    projectors = []
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[stop - 1] > gap_tol:
-            block = v[:, start:stop]
-            proj = block @ block.conj().T
-            projectors.append((proj + proj.conj().T) / 2.0)
-            eigenvalues.append(float(np.mean(w[start:stop])))
-            start = stop
-    return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues), projectors=np.array(projectors)
-    )
+    offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * scale)
+    means = np.add.reduceat(w, offsets) / np.diff(offsets, append=len(w))
+    return SpectralDecomposition(eigenvalues=means, vectors=v, offsets=offsets)
 
 
 BorelSetDescriptor = Union[Interval, IntervalUnion, Callable[[float], bool]]
@@ -197,11 +211,7 @@ def spectral_projector(S: SpectralDecomposition, B: BorelSetDescriptor) -> np.nd
     The empty selection yields the zero matrix.
     """
     member = B.contains if hasattr(B, "contains") else B
-    out = np.zeros((S.dim, S.dim), dtype=complex)
-    for lam, proj in zip(S.eigenvalues, S.projectors):
-        if member(float(lam)):
-            out += proj
-    return out
+    return S.operator_with_values([1.0 if member(float(lam)) else 0.0 for lam in S.eigenvalues])
 
 
 def apply_borel(S: SpectralDecomposition, b) -> HermitianOperator:
@@ -216,8 +226,7 @@ def apply_borel(S: SpectralDecomposition, b) -> HermitianOperator:
         raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function takes a non-finite value on the spectrum")
-    entries = np.tensordot(values, S.projectors, axes=1)
-    return HermitianOperator(entries=(entries + entries.conj().T) / 2.0)
+    return HermitianOperator(entries=S.operator_with_values(values))
 
 
 def _check_dims(a: int, b: int) -> None:

@@ -1,12 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import PAULI_X, PAULI_Z
+from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
-from hobs.cli import cli
+from hobs.cli import _emit_report, cli
 
 
 def write_matrix(path, matrix):
@@ -45,6 +46,15 @@ def files(tmp_path):
 
 def report_of(result):
     return json.loads(result.output)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_report(text):
+    """Parse a report with a parser that rejects NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestVerifyTrace:
@@ -110,6 +120,37 @@ class TestVerifyTrace:
         again = runner.invoke(cli, args + ["--workers", "1"]).output
         wide = runner.invoke(cli, args + ["--workers", "4"]).output
         assert base == again == wide
+
+
+    def test_inputs_digest_unchanged(self, runner, files):
+        # the digest hashes canonicalized parsed JSON; this value pins its bytes
+        result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
+        assert report_of(result)["inputs_digest"] == (
+            "3ffdde6cc0a060cc75ffaf0008015e5b5f12deb8aea16083b4d5f7fa70891683"
+        )
+
+    def test_large_offset_passes_with_sound_std_error(self, runner, tmp_path):
+        t = write_matrix(tmp_path / "T.json", np.diag(1e8 + np.arange(4.0)))
+        d = write_matrix(tmp_path / "D.json", np.eye(4) / 4)
+        result = runner.invoke(cli, ["verify-trace", t, d, "x", "--samples", "1000000", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        results = strict_report(result.output)["results"]
+        assert results["mc_std_error"] == pytest.approx(math.sqrt(1.25 / 1e6), rel=1e-2)
+        assert results["mc_z_score"] <= 4.0
+
+    def test_d32_byte_identical_across_workers(self, runner, tmp_path):
+        rng = np.random.default_rng(32)
+        t = write_matrix(tmp_path / "T.json", random_hermitian(rng, 32).entries)
+        d = write_matrix(tmp_path / "D.json", random_density(rng, 32).entries)
+        commands = [
+            ["verify-trace", t, d, "x^2 - x", "--samples", "140000", "--seed", "4"],
+            ["sample", d, "--observable", t, "--samples", "140000", "--seed", "4"],
+        ]
+        for args in commands:
+            serial = runner.invoke(cli, args + ["--workers", "1"])
+            parallel = runner.invoke(cli, args + ["--workers", "2"])
+            assert serial.exit_code == 0, serial.output
+            assert serial.output == parallel.output
 
 
 class TestSupport:
@@ -221,6 +262,59 @@ class TestSample:
         result = runner.invoke(cli, ["sample", files["mixed"], "--samples", "10", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("component_index,u,value")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_operator_is_input_error(self, runner, tmp_path, bad):
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps([[[bad, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+        result = runner.invoke(cli, ["support", str(path), "--samples", "100", "--rays", "2"])
+        assert result.exit_code == 2
+        assert "pass" not in result.output
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_is_input_error(self, runner, files, tmp_path, bad):
+        path = tmp_path / "D.json"
+        path.write_text(json.dumps([[[0.5, 0.0], [0.0, bad]], [[0.0, 0.0], [0.5, 0.0]]]))
+        result = runner.invoke(cli, ["verify-trace", files["identity"], str(path), "x", "--samples", "100"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vector_is_input_error(self, runner, tmp_path, bad):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps([[1.0, 0.0], [bad, 0.0]]))
+        result = runner.invoke(cli, ["sample", str(path), "--samples", "3"])
+        assert result.exit_code == 2
+
+    def test_zero_vector_is_input_error(self, runner, tmp_path):
+        path = write_vector(tmp_path / "zero.json", [0.0, 0.0])
+        result = runner.invoke(cli, ["sample", path, "--samples", "3"])
+        assert result.exit_code == 2
+        assert "nan" not in result.output
+
+
+class TestStrictJson:
+    def test_every_report_parses_strictly(self, runner, files):
+        invocations = [
+            ["verify-trace", files["pauli_x"], files["diag37"], "x^2 - x", "--samples", "1000"],
+            ["support", files["pauli_x"], "--samples", "100", "--rays", "5"],
+            ["context", files["signs"], files["diag12"]],
+            ["nogo", files["pauli_x"], files["pauli_z"], "--search", "64"],
+            ["nogo", files["signs"], files["diag12"]],
+        ]
+        for args in invocations:
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output
+            assert strict_report(result.output)["pass"] is True
+
+    def test_non_finite_statistic_becomes_null_with_caveat(self, tmp_path):
+        out = tmp_path / "report.json"
+        _emit_report("verify-trace", "0" * 64, {"mc_z_score": math.inf, "trace": 1.0}, True, ["given"], str(out))
+        report = strict_report(out.read_text())
+        assert report["results"] == {"mc_z_score": None, "trace": 1.0}
+        assert report["caveats"][0] == "given"
+        assert "results.mc_z_score" in report["caveats"][1]
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import PAULI_X, PAULI_Z, op, random_hermitian, random_projector, state
 
+import hobs.intervals as iv
 from hobs import (
     DegeneracyResolutionFailure,
     DimensionMismatch,
@@ -18,6 +19,7 @@ from hobs import (
     homomorphism_check,
     joint_diagonalize,
     line_mean,
+    line_weights,
     make_partition_context,
     nogo_witness,
     orthodoxy_reconstruct,
@@ -25,6 +27,7 @@ from hobs import (
     proposition_measure_on_line,
     quantile,
     random_ray,
+    spectral_projector,
     statistical_equivalence_check,
     validate_hermitian,
 )
@@ -85,7 +88,10 @@ class TestJointDiagonalize:
         m = len(ctx.decomposition.eigenvalues)
         assert np.array_equal(ctx.decomposition.eigenvalues, np.arange(1, m + 1, dtype=float))
         for member in ctx.members:
-            rebuilt = np.tensordot(member.transfer, ctx.decomposition.projectors, axes=1)
+            rebuilt = sum(
+                value * spectral_projector(ctx.decomposition, iv.singleton(label))
+                for label, value in enumerate(member.transfer, start=1)
+            )
             scale = max(1.0, np.linalg.norm(member.operator.entries))
             assert np.linalg.norm(rebuilt - member.operator.entries) <= 1e-8 * scale
 
@@ -327,6 +333,20 @@ class TestPartitionContext:
 
         combined = validate_hermitian(np.sum(projectors, axis=0))
         assert total == pytest.approx(expectation(combined, psi), abs=1e-12)
+
+    def test_generator_weights_match_projectors_with_complement(self):
+        rng = np.random.default_rng(13)
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        projectors = [basis[:, :1] @ basis[:, :1].conj().T, basis[:, 1:3] @ basis[:, 1:3].conj().T]
+        ctx = make_partition_context(projectors, UNIFORM)
+        assert ctx.has_complement
+        S = ctx.generator.decomposition
+        assert np.array_equal(S.eigenvalues, [0.0, 1.0, 2.0])
+        family = [np.eye(6) - projectors[0] - projectors[1]] + projectors
+        for _ in range(10):
+            psi = random_ray(rng, 6)
+            expected = [np.vdot(psi.components, P @ psi.components).real for P in family]
+            np.testing.assert_allclose(line_weights(S, psi), expected, rtol=0, atol=1e-12)
 
     def test_orthogonality_enforced(self):
         E = np.diag([1.0, 0.0])

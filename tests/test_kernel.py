@@ -18,6 +18,7 @@ from helpers import (
 
 from hobs import (
     DimensionMismatch,
+    StateVector,
     GammaModel,
     HiddenPoint,
     LineSteps,
@@ -50,7 +51,7 @@ from hobs import (
     statistical_equivalence_check,
     validate_hermitian,
 )
-from hobs.kernel import u_from_words
+from hobs.kernel import _bulk_line_weights, u_from_words
 
 UNIFORM = GammaModel.uniform()
 ARG = GammaModel.complex_arg()
@@ -449,6 +450,50 @@ class TestPropositions:
     def test_not_a_projector(self, bad):
         with pytest.raises(NotAProjector):
             proposition_from_projector(bad, UNIFORM)
+
+
+def weights_from_projectors(projectors, rays):
+    """<psi, P_i psi> / <psi, psi> for each ray (row) and explicit projector P_i."""
+    p = np.einsum("ra,iab,rb->ri", rays.conj(), np.array(projectors), rays).real
+    return p / np.einsum("ra,ra->r", rays.conj(), rays).real[:, None]
+
+
+class TestLineWeightsFromEigenvectorBlocks:
+    """Block sums of |<v_j, psi>|^2 equal <psi, P_i psi> from explicitly built projectors."""
+
+    def check(self, S, projectors, rng, n_rays=16):
+        dim = projectors[0].shape[0]
+        rays = rng.normal(size=(n_rays, dim)) + 1j * rng.normal(size=(n_rays, dim))
+        expected = weights_from_projectors(projectors, rays)
+        unit = rays / np.linalg.norm(rays, axis=1)[:, None]
+        np.testing.assert_allclose(_bulk_line_weights(S, unit), expected, rtol=0, atol=1e-12)
+        for ray, row in zip(rays, expected):
+            np.testing.assert_allclose(line_weights(S, StateVector(components=ray)), row, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merged_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 9
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        # clusters of sizes 3, 1, 4, 1; the 1e-13 splits are merged away
+        spectrum = np.array([-1.0, -1.0 + 1e-13, -1.0, 0.5, 2.0, 2.0, 2.0 + 1e-13, 2.0, 3.0])
+        sizes = [3, 1, 4, 1]
+        T = validate_hermitian((q * spectrum) @ q.conj().T)
+        S = build_hidden_observable(T, UNIFORM).decomposition
+        assert len(S.eigenvalues) == len(sizes)
+        order = np.argsort(spectrum, kind="stable")
+        starts = np.cumsum([0] + sizes[:-1])
+        projectors = [q[:, order[a : a + n]] @ q[:, order[a : a + n]].conj().T for a, n in zip(starts, sizes)]
+        self.check(S, projectors, rng)
+
+    @pytest.mark.parametrize("rank", [0, 2, 5])
+    def test_proposition(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        E = random_projector(rng, 5, rank)
+        S = proposition_from_projector(E, UNIFORM).underlying.decomposition
+        family = [np.eye(5) - E, E]
+        projectors = [P for P in family if np.trace(P).real > 0.5]
+        self.check(S, projectors, rng)
 
 
 class TestStatisticalEquivalence:

@@ -33,6 +33,7 @@ from hobs import (
     sample_hidden,
     trace_expectation,
 )
+from hobs.mixed import _block_values
 
 UNIFORM = GammaModel.uniform()
 
@@ -276,11 +277,33 @@ class TestMcEstimate:
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=123), 200000)
         assert abs(est.mean - exact) <= max(4.0 * est.std_error, 1e-9)
 
+    def test_variance_survives_large_offset(self):
+        # values 1e8..1e8+3 with equal weight: s2 - n*mean^2 cancels to 0 here
+        n = 1_000_000
+        f = build_hidden_observable(op(np.diag(1e8 + np.arange(4.0))), UNIFORM)
+        mu = mixed(DensityMatrix(entries=np.eye(4) / 4))
+        est = mc_estimate(f, parse("x"), mu, SampleStream(seed=1), n)
+        assert est.std_error == pytest.approx(np.sqrt(1.25 / n), rel=1e-2)
+        assert abs(est.mean - (1e8 + 1.5)) <= 4.0 * est.std_error
+
     def test_requires_two_samples(self):
         f = build_hidden_observable(op(np.eye(2)), UNIFORM)
         mu = mixed(DensityMatrix(entries=np.eye(2) / 2))
         with pytest.raises(ValueError):
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
+
+
+class TestBlockValues:
+    def test_matches_values_on_line_per_component(self):
+        rng = np.random.default_rng(32)
+        f = build_hidden_observable(random_hermitian(rng, 32), UNIFORM)
+        mu = mixed(random_density(rng, 32))
+        assert mu.ensemble.size == 32
+        k, u, values = _block_values(f, mu, SampleStream(seed=3), 0, 20000)
+        assert set(np.unique(k)) == set(range(32))
+        for comp, psi in enumerate(mu.ensemble.component_states()):
+            mask = k == comp
+            assert np.array_equal(values[mask], f.values_on_line(psi, u[mask]))
 
 
 class TestCsvDump:

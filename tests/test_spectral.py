@@ -11,6 +11,7 @@ from hobs import (
     DimensionMismatch,
     EvaluationError,
     HermiticityViolation,
+    NonFiniteInput,
     NonSquareError,
     apply_borel,
     commutator_norm,
@@ -44,6 +45,13 @@ class TestValidateHermitian:
         with pytest.raises(NonSquareError):
             validate_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            validate_hermitian([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(NonFiniteInput):
+            DensityMatrix(entries=[[0.5, 0.0], [0.0, bad]])
+
     def test_rounding_skew_symmetrized(self):
         raw = PAULI_Z + np.array([[0.0, 1e-15], [-1e-15, 0.0]])
         T = validate_hermitian(raw)
@@ -51,31 +59,38 @@ class TestValidateHermitian:
         assert np.array_equal(T.entries, T.entries.conj().T)
 
 
+def eigenspace_projectors(S):
+    """The projector onto each eigenspace, in spectral order, via spectral_projector."""
+    return [spectral_projector(S, iv.singleton(float(lam))) for lam in S.eigenvalues]
+
+
 class TestSpectralDecompose:
     def test_already_diagonal(self):
         S = spectral_decompose(op(np.diag([-1.0, 1.0])))
         assert np.array_equal(S.eigenvalues, [-1.0, 1.0])
-        np.testing.assert_allclose(S.projectors[0], np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(S.projectors[1], np.diag([0.0, 1.0]), atol=1e-14)
+        P0, P1 = eigenspace_projectors(S)
+        np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(P1, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_identity_fully_merged(self):
         S = spectral_decompose(op(np.eye(5)))
         assert np.array_equal(S.eigenvalues, [1.0])
-        np.testing.assert_allclose(S.projectors[0], np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(eigenspace_projectors(S)[0], np.eye(5), atol=1e-12)
 
     def test_pauli_x_hand_decomposition(self):
         # eigenvector for -1 is (1,-1)/sqrt2, for +1 is (1,1)/sqrt2
         S = spectral_decompose(op(PAULI_X))
         np.testing.assert_allclose(S.eigenvalues, [-1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(S.projectors[0], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12)
-        np.testing.assert_allclose(S.projectors[1], np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
-        for P in S.projectors:
+        projectors = eigenspace_projectors(S)
+        np.testing.assert_allclose(projectors[0], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12)
+        np.testing.assert_allclose(projectors[1], np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
+        for P in projectors:
             np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
     def test_near_degenerate_merged(self):
         S = spectral_decompose(op(np.diag([1.0, 1.0 + 1e-12, 2.0])))
         assert len(S.eigenvalues) == 2
-        assert np.trace(S.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(eigenspace_projectors(S)[0]).real == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_roundtrip_and_invariants(self, dim):
@@ -86,10 +101,11 @@ class TestSpectralDecompose:
         assert np.linalg.norm(S.reconstruct() - T.entries) <= 1e-10 * max(1.0, scale)
         assert np.all(np.diff(S.eigenvalues) > 0)
         total = np.zeros((dim, dim), dtype=complex)
-        for i, P in enumerate(S.projectors):
+        projectors = eigenspace_projectors(S)
+        for i, P in enumerate(projectors):
             np.testing.assert_allclose(P, P.conj().T, atol=1e-12)
             np.testing.assert_allclose(P @ P, P, atol=1e-12)
-            for Q in S.projectors[i + 1 :]:
+            for Q in projectors[i + 1 :]:
                 assert np.linalg.norm(P @ Q) <= 1e-12
             total += P
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
