@@ -43,6 +43,7 @@ from .spectral import (
     commutator_norm,
     commutes,
     expectation,
+    function_values,
     spectral_decompose,
     spectral_projector,
     trace_expectation,
@@ -52,7 +53,6 @@ from .kernel import (
     GammaModel,
     HiddenObservable,
     HiddenPoint,
-    HiddenProposition,
     LineSteps,
     SharedParameterSum,
     build_hidden_observable,
@@ -91,11 +91,9 @@ from .mixed import (
 from .contexts import (
     SHARED_U_CAVEAT,
     Context,
-    ContextMember,
     HomomorphismReport,
     NogoReport,
     PartitionContext,
-    TransferredObservable,
     context_combine,
     context_observable,
     homomorphism_check,

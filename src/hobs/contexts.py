@@ -17,7 +17,7 @@ prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,16 +34,12 @@ from .kernel import (
     PROJECTOR_TOL,
     GammaModel,
     HiddenObservable,
-    HiddenPoint,
-    HiddenProposition,
-    LineSteps,
     SharedParameterSum,
     _cumulative,
     _piece_index,
     build_hidden_observable,
     draw_u,
     line_weights,
-    merge_distribution,
     orthodoxy_reconstruct,
     orthodoxy_second_moment_gap,
     proposition_from_projector,
@@ -58,23 +54,6 @@ from .spectral import (
     validate_hermitian,
 )
 
-__all__ = [
-    "Context",
-    "ContextMember",
-    "TransferredObservable",
-    "PartitionContext",
-    "HomomorphismReport",
-    "NogoReport",
-    "SHARED_U_CAVEAT",
-    "joint_diagonalize",
-    "context_observable",
-    "context_combine",
-    "homomorphism_check",
-    "nogo_witness",
-    "make_partition_context",
-    "partition_context",
-]
-
 JOINT_DIAG_TOL = 1e-8
 OPERATOR_SIDE_TOL = 1e-8
 
@@ -86,69 +65,24 @@ SHARED_U_CAVEAT = (
 
 
 @dataclass(frozen=True)
-class TransferredObservable:
-    """A function of the generator observable: value = table[generator index].
+class Context:
+    """A commuting family expressed as transfer tables over one generator.
 
-    Implements the same per-line step-profile surface as a standalone
-    observable, so reconstruction, equivalence checks and exact
-    integrals apply unchanged.
+    f0 is the generator observable, valued in the labels 1..m of the
+    joint eigenspaces; each member shares its decomposition and carries
+    the family operator's value on joint eigenspace j at index j-1.
     """
 
-    base: HiddenObservable
-    table: np.ndarray  # one value per generator eigenvalue, in spectral order
-    operator: HermitianOperator
-
-    def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def _indices(self, psi: StateVector, u) -> np.ndarray:
-        c = _cumulative(line_weights(self.base.decomposition, psi))
-        return _piece_index(c, u)
-
-    def evaluate(self, point: HiddenPoint) -> float:
-        return float(self.table[self._indices(point.ray, point.u)])
-
-    def values_on_line(self, psi: StateVector, u: np.ndarray) -> np.ndarray:
-        return self.table[self._indices(psi, u)]
-
-    def line_steps(self, psi: StateVector) -> LineSteps:
-        p = line_weights(self.base.decomposition, psi)
-        keep = p > 0.0
-        right = _cumulative(p)[keep]
-        return LineSteps(edges=np.concatenate(([0.0], right)), values=self.table[keep])
-
-    def line_distribution(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        p = line_weights(self.base.decomposition, psi)
-        return merge_distribution(self.table, p)
-
-
-@dataclass(frozen=True)
-class ContextMember:
-    operator: HermitianOperator
-    transfer: np.ndarray  # value on joint eigenspace j at index j-1
-
-    def transfer_table(self) -> dict[int, float]:
-        return {j + 1: float(v) for j, v in enumerate(self.transfer)}
-
-
-@dataclass(frozen=True)
-class Context:
-    """A commuting family expressed as transfer tables over one generator."""
-
-    generator: HermitianOperator
-    decomposition: SpectralDecomposition  # eigenvalues are exactly 1..m
     f0: HiddenObservable
-    members: tuple[ContextMember, ...]
+    members: tuple[HiddenObservable, ...]
+
+    @property
+    def decomposition(self) -> SpectralDecomposition:
+        return self.f0.decomposition
 
     @property
     def dim(self) -> int:
-        return self.generator.dim
+        return self.f0.dim
 
     @property
     def n_labels(self) -> int:
@@ -208,11 +142,9 @@ def joint_diagonalize(
             continue
 
         generator = HermitianOperator(entries=decomposition.reconstruct())
-        f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma)
-        members = tuple(
-            ContextMember(operator=op, transfer=table) for op, table in zip(ops, transfers)
-        )
-        return Context(generator=generator, decomposition=decomposition, f0=f0, members=members)
+        f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=labels)
+        members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
+        return Context(f0=f0, members=members)
 
     raise DegeneracyResolutionFailure(
         f"no generic combination split the joint eigenspaces in {retries} draws "
@@ -220,12 +152,11 @@ def joint_diagonalize(
     )
 
 
-def context_observable(ctx: Context, member_index: int) -> TransferredObservable:
+def context_observable(ctx: Context, member_index: int) -> HiddenObservable:
     """The member function: its transfer table applied to the generator value."""
     if not 0 <= member_index < len(ctx.members):
         raise IndexOutOfRange(f"member index {member_index} outside 0..{len(ctx.members) - 1}")
-    member = ctx.members[member_index]
-    return TransferredObservable(base=ctx.f0, table=member.transfer, operator=member.operator)
+    return ctx.members[member_index]
 
 
 def _combined_table(tables: np.ndarray, coeffs: np.ndarray, op: str) -> np.ndarray:
@@ -238,7 +169,7 @@ def _combined_table(tables: np.ndarray, coeffs: np.ndarray, op: str) -> np.ndarr
 
 def context_combine(
     ctx: Context, coeffs: Sequence[float], op: str = "sum"
-) -> tuple[TransferredObservable, HermitianOperator]:
+) -> tuple[HiddenObservable, HermitianOperator]:
     """Pointwise combination of member functions, paired with the operator.
 
     "sum" builds sum of c_i * f_i, "product" the product of c_i * f_i;
@@ -249,7 +180,7 @@ def context_combine(
     coeffs = np.array(coeffs, dtype=float)
     if coeffs.shape != (len(ctx.members),):
         raise ValueError(f"need {len(ctx.members)} coefficients, got {coeffs.shape}")
-    tables = np.array([m.transfer for m in ctx.members])
+    tables = np.array([m.values for m in ctx.members])
     table = _combined_table(tables, coeffs, op)
     if op == "sum":
         entries = np.tensordot(coeffs, [m.operator.entries for m in ctx.members], axes=1)
@@ -258,8 +189,7 @@ def context_combine(
         for c, member in zip(coeffs, ctx.members):
             entries = entries @ (c * member.operator.entries)
     operator = validate_hermitian(entries)
-    fn = TransferredObservable(base=ctx.f0, table=table, operator=operator)
-    return fn, operator
+    return replace(ctx.f0, operator=operator, values=table), operator
 
 
 @dataclass(frozen=True)
@@ -288,7 +218,7 @@ def homomorphism_check(
     the combined operator within operator_tol.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    tables = np.array([m.transfer for m in ctx.members])
+    tables = np.array([m.values for m in ctx.members])
     max_add = 0.0
     max_mul = 0.0
     max_op = 0.0
@@ -300,9 +230,9 @@ def homomorphism_check(
         column = tables[:, idx]
 
         fn_sum, op_sum = context_combine(ctx, coeffs, "sum")
-        max_add = max(max_add, abs(float(fn_sum.table[idx]) - float(np.dot(coeffs, column))))
+        max_add = max(max_add, abs(float(fn_sum.values[idx]) - float(np.dot(coeffs, column))))
         fn_prod, op_prod = context_combine(ctx, coeffs, "product")
-        max_mul = max(max_mul, abs(float(fn_prod.table[idx]) - float(np.prod(coeffs * column))))
+        max_mul = max(max_mul, abs(float(fn_prod.values[idx]) - float(np.prod(coeffs * column))))
 
         for fn, op in ((fn_sum, op_sum), (fn_prod, op_prod)):
             rebuilt = orthodoxy_reconstruct(fn, rng=rng)
@@ -454,7 +384,7 @@ class PartitionContext:
     parts are disjoint on every line by construction.
     """
 
-    propositions: tuple[HiddenProposition, ...]
+    propositions: tuple[HiddenObservable, ...]
     generator: HiddenObservable
     has_complement: bool
 
@@ -462,13 +392,13 @@ class PartitionContext:
     def dim(self) -> int:
         return self.generator.dim
 
-    def member(self, coeffs: Sequence[float]) -> TransferredObservable:
+    def member(self, coeffs: Sequence[float]) -> HiddenObservable:
         c = np.array(coeffs, dtype=float)
         if c.shape != (len(self.propositions),):
             raise ValueError(f"need {len(self.propositions)} coefficients, got {c.shape}")
         table = np.concatenate(([0.0], c)) if self.has_complement else c
         operator = HermitianOperator(entries=self.generator.decomposition.operator_with_values(table))
-        return TransferredObservable(base=self.generator, table=table, operator=operator)
+        return replace(self.generator, operator=operator, values=table)
 
 
 def make_partition_context(projectors: Sequence, gamma: GammaModel) -> PartitionContext:
@@ -487,7 +417,7 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
             raise NotOrthogonalFamily("projectors must share one dimension")
         if int(round(np.trace(E).real)) == 0:
             raise NotOrthogonalFamily(f"member {idx} is the zero projector")
-    cleaned = [p.projector for p in props]
+    cleaned = [p.operator.entries for p in props]
     for i in range(len(cleaned)):
         for j in range(i + 1, len(cleaned)):
             if np.linalg.norm(cleaned[i] @ cleaned[j]) > PROJECTOR_TOL * dim:
@@ -495,7 +425,7 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
 
     # each member's range basis is the eigenvalue-1 block of its proposition;
     # the complement's basis is the rest of a complete QR basis of their span
-    blocks = [S.vectors[:, S.offsets[-1]:] for S in (p.underlying.decomposition for p in props)]
+    blocks = [S.vectors[:, S.offsets[-1]:] for S in (p.decomposition for p in props)]
     ranges = np.hstack(blocks)
     complement = np.linalg.qr(ranges, mode="complete")[0][:, ranges.shape[1]:]
     eigenvalues = np.arange(1, len(blocks) + 1, dtype=float)
@@ -505,7 +435,7 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
     offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     decomposition = SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.hstack(blocks), offsets=offsets)
     generator_op = HermitianOperator(entries=decomposition.reconstruct())
-    generator = HiddenObservable(operator=generator_op, decomposition=decomposition, gamma=gamma)
+    generator = HiddenObservable(operator=generator_op, decomposition=decomposition, gamma=gamma, values=eigenvalues)
     return PartitionContext(
         propositions=tuple(props), generator=generator, has_complement=complement.shape[1] > 0
     )
@@ -513,6 +443,6 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
 
 def partition_context(
     projectors: Sequence, coeffs: Sequence[float], gamma: GammaModel
-) -> TransferredObservable:
+) -> HiddenObservable:
     """The coefficient combination of disjoint indicators on one generator."""
     return make_partition_context(projectors, gamma).member(coeffs)

@@ -31,16 +31,6 @@ import numpy as np
 
 from .errors import ArityError, ExprSyntaxError, NaNInput
 
-__all__ = [
-    "BorelExpr",
-    "parse",
-    "compose",
-    "format_expr",
-    "interval_bound",
-    "identity",
-]
-
-
 # ---------------------------------------------------------------------------
 # AST
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EvaluationError,
     NonQuadraticFirstMoment,
     NotAProjector,
     ZeroInput,
@@ -38,38 +37,11 @@ from .spectral import (
     SpectralDecomposition,
     StateVector,
     _cluster_offsets,
+    _readonly,
     expectation,
+    function_values,
     spectral_decompose,
 )
-
-__all__ = [
-    "GammaModel",
-    "HiddenPoint",
-    "HiddenObservable",
-    "HiddenProposition",
-    "SharedParameterSum",
-    "LineSteps",
-    "gamma_from_complex",
-    "cdf",
-    "quantile",
-    "build_hidden_observable",
-    "evaluate",
-    "line_weights",
-    "line_integral_exact",
-    "line_mean",
-    "moments_check",
-    "orthodoxy_reconstruct",
-    "orthodoxy_second_moment_gap",
-    "proposition_from_projector",
-    "proposition_measure_on_line",
-    "statistical_equivalence_check",
-    "spectral_support_check",
-    "pushforward_ks",
-    "random_ray",
-    "draw_u",
-    "u_from_words",
-    "merge_distribution",
-]
 
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive double; open-interval remap
 _TINY_NORMAL = 2.2250738585072014e-308
@@ -235,8 +207,7 @@ def quantile(S: SpectralDecomposition, psi: StateVector, u: float) -> float:
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u={u!r} outside (0, 1)")
-    c = _cumulative(line_weights(S, psi))
-    return float(S.eigenvalues[_piece_index(c, u)])
+    return float(_quantile_values(S.eigenvalues, line_weights(S, psi), u))
 
 
 # ---------------------------------------------------------------------------
@@ -283,43 +254,53 @@ class HiddenFunction(Protocol):
 
 @dataclass(frozen=True)
 class HiddenObservable:
-    """The observable function of T: per-line quantile of the spectral CDF.
+    """An observable function: a value table over a spectral partition.
 
-    Values always lie in the (merged) eigenvalue list, the per-line
-    pushforward of u equals the spectral weights exactly, and the
-    function is non-decreasing in u on every line.
+    On each line, u selects a piece of `decomposition` by the per-line
+    quantile of the spectral CDF, and the function takes that piece's
+    entry of `values` (one per piece, in spectral order): the
+    eigenvalues for the observable of an operator, a transfer table for
+    a context member, {0, 1} for a proposition.  `operator` is the sum
+    of values[i] * P_i.  The per-line pushforward of u equals the
+    spectral weights exactly, so every per-line integral is a finite sum.
     """
 
     operator: HermitianOperator
     decomposition: SpectralDecomposition
     gamma: GammaModel
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.shape != self.decomposition.eigenvalues.shape:
+            raise DimensionMismatch(f"{values.size} values for {self.decomposition.eigenvalues.size} spectral pieces")
+        object.__setattr__(self, "values", _readonly(values))
 
     @property
     def dim(self) -> int:
         return self.operator.dim
 
     def evaluate(self, point: HiddenPoint) -> float:
-        return quantile(self.decomposition, point.ray, point.u)
+        return float(self.values_on_line(point.ray, point.u))
 
     def line_steps(self, psi: StateVector) -> LineSteps:
         p = line_weights(self.decomposition, psi)
         keep = p > 0.0
-        right = _cumulative(p)[keep]
-        edges = np.concatenate(([0.0], right))
-        return LineSteps(edges=edges, values=self.decomposition.eigenvalues[keep])
+        return LineSteps(edges=np.concatenate(([0.0], _cumulative(p)[keep])), values=self.values[keep])
 
     def line_distribution(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        """Per-line value distribution as (support, weights)."""
-        return np.array(self.decomposition.eigenvalues), line_weights(self.decomposition, psi)
+        """Per-line value distribution as (values, weights), one entry per piece."""
+        return np.array(self.values), line_weights(self.decomposition, psi)
 
     def values_on_line(self, psi: StateVector, u: np.ndarray) -> np.ndarray:
         """Vectorized evaluate for many parameters on one line."""
-        return _quantile_values(self.decomposition.eigenvalues, line_weights(self.decomposition, psi), u)
+        return _quantile_values(self.values, line_weights(self.decomposition, psi), u)
 
 
 def build_hidden_observable(T: HermitianOperator, gamma: GammaModel) -> HiddenObservable:
     """The observable function of T for the given parameter model."""
-    return HiddenObservable(operator=T, decomposition=spectral_decompose(T), gamma=gamma)
+    S = spectral_decompose(T)
+    return HiddenObservable(operator=T, decomposition=S, gamma=gamma, values=S.eigenvalues)
 
 
 def evaluate(f: HiddenFunction, point: HiddenPoint) -> float:
@@ -365,26 +346,9 @@ class SharedParameterSum:
 # Exact per-line integrals and the moment characterization
 
 
-def _values_on_spectrum(b, eigenvalues: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(b(eigenvalues), dtype=float)
-        if vals.shape != eigenvalues.shape:
-            raise TypeError("not vectorized")
-    except Exception:
-        try:
-            vals = np.array([float(b(lam)) for lam in eigenvalues], dtype=float)
-        except Exception as exc:
-            raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("function takes a non-finite value on the spectrum")
-    return vals
-
-
 def line_integral_exact(f: HiddenObservable, b, psi: StateVector) -> float:
-    """Exact mean of b(f) over one line: the finite sum of p_i * b(lambda_i)."""
-    p = line_weights(f.decomposition, psi)
-    vals = _values_on_spectrum(b, f.decomposition.eigenvalues)
-    return float(np.dot(p, vals))
+    """Exact mean of b(f) over one line: the finite sum of p_i * b(values_i)."""
+    return float(np.dot(line_weights(f.decomposition, psi), function_values(b, f.values)))
 
 
 def line_mean(h: HiddenFunction, psi: StateVector, transform=None) -> float:
@@ -406,13 +370,14 @@ class MomentReport:
 def moments_check(f: HiddenObservable, psi: StateVector, n_max: int, tol: float) -> MomentReport:
     """Compare exact per-line moments of f with <T^n>_psi for n <= n_max.
 
-    Passes when every per-order error is at most tol * max(1, ||T||_2^n).
+    Passes when every per-order error is at most tol * max(1, ||T||_2^n),
+    where ||T||_2 is the largest |value| of f.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = line_weights(f.decomposition, psi)
-    lams = f.decomposition.eigenvalues
-    norm = f.decomposition.source_norm
+    lams = f.values
+    norm = float(np.max(np.abs(lams)))
     orders, lhs, rhs, errs, scales = [], [], [], [], []
     power = np.eye(f.dim, dtype=complex)
     for n in range(n_max + 1):
@@ -505,32 +470,16 @@ def orthodoxy_second_moment_gap(
 # Hidden propositions
 
 
-@dataclass(frozen=True)
-class HiddenProposition:
-    """The event {indicator = 1} of the observable function of a projector."""
-
-    projector: np.ndarray
-    underlying: HiddenObservable
-
-    @property
-    def dim(self) -> int:
-        return self.underlying.dim
-
-    def evaluate(self, point: HiddenPoint) -> float:
-        return self.underlying.evaluate(point)
-
-    def line_steps(self, psi: StateVector) -> LineSteps:
-        return self.underlying.line_steps(psi)
-
-
-def proposition_from_projector(E, gamma: GammaModel) -> HiddenProposition:
-    """Build the proposition realizing a projector E.
+def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
+    """The proposition realizing a projector E: its observable function.
 
     The spectral data is pinned to the exact eigenvalues {0, 1}, with the
     eigenvectors of E split at 1/2 into bases of its kernel and range, so
     the indicator takes exactly those values.
     """
     E = np.array(E, dtype=complex)
+    if not np.all(np.isfinite(E)):
+        raise NotAProjector("matrix has a NaN or infinite entry")
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise NotAProjector(f"expected a square matrix, got shape {E.shape}")
     scale = max(1.0, float(np.linalg.norm(E)))
@@ -545,13 +494,12 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenProposition:
         S = SpectralDecomposition(eigenvalues=[float(kernel_dim == 0)], vectors=vectors, offsets=[0])
     else:
         S = SpectralDecomposition(eigenvalues=[0.0, 1.0], vectors=vectors, offsets=[0, kernel_dim])
-    underlying = HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma)
-    return HiddenProposition(projector=underlying.operator.entries, underlying=underlying)
+    return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma, values=S.eigenvalues)
 
 
-def proposition_measure_on_line(L: HiddenProposition, psi: StateVector) -> float:
-    """Exact u-measure of the event on the line of psi; equals <E>_psi."""
-    values, weights = L.underlying.line_distribution(psi)
+def proposition_measure_on_line(L: HiddenObservable, psi: StateVector) -> float:
+    """Exact u-measure of the event {L = 1} on the line of psi; equals <E>_psi."""
+    values, weights = L.line_distribution(psi)
     return float(np.sum(weights[values == 1.0]))
 
 
@@ -654,8 +602,8 @@ def spectral_support_check(
     samples_per_ray: int,
     rng: np.random.Generator,
 ) -> SupportReport:
-    """Sampled evaluations must land exactly in the eigenvalue list."""
-    lams = f.decomposition.eigenvalues
+    """Sampled evaluations must land exactly in the value table."""
+    lams = f.values
     outside = 0
     total = 0
     for _ in range(n_rays):

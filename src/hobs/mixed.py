@@ -29,28 +29,12 @@ from .kernel import (
     GammaModel,
     HiddenObservable,
     HiddenPoint,
-    HiddenProposition,
     _bulk_line_weights,
     _quantile_values,
-    _values_on_spectrum,
     proposition_measure_on_line,
     u_from_words,
 )
-from .spectral import DensityMatrix, StateVector
-
-__all__ = [
-    "Ensemble",
-    "HiddenMixedState",
-    "SampleStream",
-    "McEstimate",
-    "ensemble_from_density",
-    "density_from_ensemble",
-    "exact_classical_mean",
-    "hidden_state_measure",
-    "sample_hidden",
-    "mc_estimate",
-    "dump_samples_csv",
-]
+from .spectral import DensityMatrix, StateVector, function_values
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -140,11 +124,10 @@ def exact_classical_mean(f: HiddenObservable, b, mu: HiddenMixedState) -> float:
     if f.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {mu.dim}")
     weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
-    vals = _values_on_spectrum(b, f.decomposition.eigenvalues)
-    return float(np.dot(mu.ensemble.weights, weights @ vals))
+    return float(np.dot(mu.ensemble.weights, weights @ function_values(b, f.values)))
 
 
-def hidden_state_measure(L: HiddenProposition, mu: HiddenMixedState) -> float:
+def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
     """mu(L): the mixture-weighted exact per-line measure of the event."""
     if L.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {L.dim} vs {mu.dim}")
@@ -200,7 +183,7 @@ def _block_values(
     for comp in range(mu.ensemble.size):
         mask = k == comp
         if np.any(mask):
-            values[mask] = _quantile_values(f.decomposition.eigenvalues, weights[comp], u[mask])
+            values[mask] = _quantile_values(f.values, weights[comp], u[mask])
     return k, u, values
 
 
@@ -214,6 +197,15 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
         k, u = _draw_block(mu, stream, start, count)
         points.extend(HiddenPoint(ray=states[ki], u=ui) for ki, ui in zip(k, u))
     return points
+
+
+def _map_blocks(fn, stream: SampleStream, n: int, workers: int) -> list:
+    """fn of each (start, count) block of n samples, in block order, on up to `workers` threads."""
+    blocks = list(stream.blocks(n))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(block) for block in blocks]
 
 
 @dataclass(frozen=True)
@@ -265,14 +257,7 @@ def mc_estimate(
         centred = shifted - shifted_mean
         return count, float(x[0] + shifted_mean), float(np.sum(centred * centred))
 
-    blocks = list(stream.blocks(n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_moments, blocks))
-    else:
-        partials = [block_moments(block) for block in blocks]
-
-    _, mean, m2 = functools.reduce(_merge_moments, partials)
+    _, mean, m2 = functools.reduce(_merge_moments, _map_blocks(block_moments, stream, n, workers))
     variance = m2 / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(variance / n), n_samples=n)
 
@@ -294,17 +279,7 @@ def dump_samples_csv(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def compute(block):
-        start, count = block
-        return _block_values(f, mu, stream, start, count)
-
-    blocks = list(stream.blocks(n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(compute, blocks))
-    else:
-        computed = [compute(block) for block in blocks]
-
+    computed = _map_blocks(lambda block: _block_values(f, mu, stream, *block), stream, n, workers)
     out.write("component_index,u,value\n")
     for k, u, values in computed:
         for ki, ui, vi in zip(k, u, values):

@@ -21,21 +21,6 @@ from .errors import (
 )
 from .intervals import Interval, IntervalUnion
 
-__all__ = [
-    "HermitianOperator",
-    "SpectralDecomposition",
-    "DensityMatrix",
-    "StateVector",
-    "validate_hermitian",
-    "spectral_decompose",
-    "spectral_projector",
-    "apply_borel",
-    "expectation",
-    "trace_expectation",
-    "commutator_norm",
-    "commutes",
-]
-
 # Tolerances (see module-level conventions): hermiticity is relative to
 # the Frobenius norm of the input, eigenvalue merging to the spectral
 # norm, the commutation threshold to the product of Frobenius norms.
@@ -214,19 +199,29 @@ def spectral_projector(S: SpectralDecomposition, B: BorelSetDescriptor) -> np.nd
     return S.operator_with_values([1.0 if member(float(lam)) else 0.0 for lam in S.eigenvalues])
 
 
-def apply_borel(S: SpectralDecomposition, b) -> HermitianOperator:
-    """Functional calculus: the operator with eigenvalue b(lambda_i) on each eigenspace.
+def function_values(b, x: np.ndarray) -> np.ndarray:
+    """b at each entry of x, checked finite.
 
-    `b` is a BorelExpr or any real-valued callable defined on the
-    eigenvalue list.
+    `b` is a BorelExpr or any real-valued callable; one vectorized call
+    is tried first, then one call per entry.
     """
     try:
-        values = np.array([float(b(lam)) for lam in S.eigenvalues], dtype=float)
-    except Exception as exc:
-        raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
+        values = np.asarray(b(x), dtype=float)
+        if values.shape != x.shape:
+            raise TypeError("not vectorized")
+    except Exception:
+        try:
+            values = np.array([float(b(v)) for v in x], dtype=float)
+        except Exception as exc:
+            raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function takes a non-finite value on the spectrum")
-    return HermitianOperator(entries=S.operator_with_values(values))
+    return values
+
+
+def apply_borel(S: SpectralDecomposition, b) -> HermitianOperator:
+    """Functional calculus: the operator with eigenvalue b(lambda_i) on each eigenspace."""
+    return HermitianOperator(entries=S.operator_with_values(function_values(b, S.eigenvalues)))
 
 
 def _check_dims(a: int, b: int) -> None:

@@ -1,9 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
@@ -137,6 +141,30 @@ class TestVerifyTrace:
         results = strict_report(result.output)["results"]
         assert results["mc_std_error"] == pytest.approx(math.sqrt(1.25 / 1e6), rel=1e-2)
         assert results["mc_z_score"] <= 4.0
+
+    @given(
+        dim=st.integers(2, 6),
+        expression=st.sampled_from(["x", "x^2", "clamp(-1, 1)"]),
+        change=st.one_of(
+            st.tuples(st.just("shift"), st.floats(-1e8, 1e8)),
+            st.tuples(st.just("scale"), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_shifted_and_scaled_operators_pass(self, dim, expression, change, seed):
+        # T + cI and s*T keep the identity exact; the exact gap is judged at the
+        # scale of b on the spectrum, so rounding at large magnitudes is no failure
+        rng = np.random.default_rng(seed)
+        kind, amount = change
+        T = random_hermitian(rng, dim).entries
+        T = T + amount * np.eye(dim) if kind == "shift" else amount * T
+        with tempfile.TemporaryDirectory() as tmp:
+            t = write_matrix(Path(tmp) / "T.json", T)
+            d = write_matrix(Path(tmp) / "D.json", random_density(rng, dim).entries)
+            args = ["verify-trace", t, d, expression, "--samples", "2000", "--seed", str(seed)]
+            result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, result.output
 
     def test_d32_byte_identical_across_workers(self, runner, tmp_path):
         rng = np.random.default_rng(32)
@@ -294,6 +322,54 @@ class TestInputValidation:
         assert "nan" not in result.output
 
 
+def _corrupt(path, flat_index, part, bad):
+    """Overwrite one real or imaginary part of the JSON pairs file at path with bad."""
+    data = np.array(json.loads(Path(path).read_text()))
+    pairs = data.reshape(-1, 2)
+    pairs[flat_index % len(pairs), part] = bad
+    Path(path).write_text(json.dumps(data.tolist()))
+
+
+# each subcommand with the names of the input files it reads
+NON_FINITE_CASES = [
+    (["verify-trace", "{T}", "{D}", "x", "--samples", "100"], ["T", "D"]),
+    (["support", "{T}", "--samples", "100", "--rays", "2"], ["T"]),
+    (["context", "{T}", "{T2}"], ["T", "T2"]),
+    (["nogo", "{T}", "{D}", "--search", "4"], ["T", "D"]),
+    (["sample", "{v}", "--samples", "10"], ["v"]),
+    (["sample", "{D}", "--observable", "{T}", "--samples", "10"], ["D", "T"]),
+]
+
+
+def _write_inputs(directory, rng, dim, scale=1.0, shift=0.0):
+    T = scale * random_hermitian(rng, dim).entries + shift * np.eye(dim)
+    return {
+        "T": write_matrix(directory / "T.json", T),
+        "T2": write_matrix(directory / "T2.json", T @ T - T),
+        "D": write_matrix(directory / "D.json", random_density(rng, dim).entries),
+        "v": write_vector(directory / "v.json", rng.normal(size=dim) + 1j * rng.normal(size=dim)),
+    }
+
+
+class TestNonFiniteInputProperty:
+    @given(
+        case=st.sampled_from(NON_FINITE_CASES),
+        slot=st.integers(0, 1),
+        flat_index=st.integers(0, 63),
+        part=st.integers(0, 1),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        dim=st.integers(2, 4),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_non_finite_entry_exits_two(self, case, slot, flat_index, part, bad, dim):
+        template, names = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _write_inputs(Path(tmp), np.random.default_rng(dim), dim)
+            _corrupt(paths[names[slot % len(names)]], flat_index, part, bad)
+            result = CliRunner().invoke(cli, [arg.format(**paths) for arg in template])
+        assert result.exit_code == 2, result.output
+
+
 class TestStrictJson:
     def test_every_report_parses_strictly(self, runner, files):
         invocations = [
@@ -307,6 +383,35 @@ class TestStrictJson:
             result = runner.invoke(cli, args)
             assert result.exit_code == 0, result.output
             assert strict_report(result.output)["pass"] is True
+
+    @given(
+        dim=st.integers(2, 4),
+        scale_exponent=st.integers(-8, 8),
+        shift=st.sampled_from([0.0, -1e8, 1e8]),
+        expression=st.sampled_from(["x", "x^2 - x", "clamp(-1, 1) + step(0)", "x^3 - abs(x)"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_reports_parse_strictly_on_random_inputs(self, dim, scale_exponent, shift, expression, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _write_inputs(Path(tmp), np.random.default_rng(seed), dim, 10.0**scale_exponent, shift)
+            reports = [
+                ["verify-trace", paths["T"], paths["D"], expression, "--samples", "500", "--seed", str(seed)],
+                ["support", paths["T"], "--samples", "100", "--rays", "4"],
+                ["context", paths["T"], paths["T2"]],
+                ["context", paths["T"], paths["D"]],
+                ["nogo", paths["T"], paths["T2"]],
+                ["nogo", paths["T"], paths["D"], "--search", "8"],
+            ]
+            for args in reports:
+                result = CliRunner().invoke(cli, args)
+                if result.exit_code != 3:  # an internal numeric failure writes no report
+                    assert result.exit_code in (0, 1), result.output
+                    assert isinstance(strict_report(result.output)["pass"], bool)
+            result = CliRunner().invoke(cli, ["sample", paths["D"], "--observable", paths["T"], "--samples", "50"])
+            assert result.exit_code == 0, result.output
+            rows = [line.split(",") for line in result.output.splitlines()[1:]]
+            assert all(math.isfinite(float(field)) for row in rows for field in row)
 
     def test_non_finite_statistic_becomes_null_with_caveat(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,22 +52,22 @@ class TestJointDiagonalize:
     def test_already_diagonal_pair(self):
         ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
         assert np.array_equal(ctx.decomposition.eigenvalues, [1.0, 2.0])
-        assert ctx.members[0].transfer_table() == {1: 1.0, 2: 2.0}
-        assert ctx.members[1].transfer_table() == {1: 3.0, 2: 3.0}
+        assert dict(enumerate(ctx.members[0].values, start=1)) == {1: 1.0, 2: 2.0}
+        assert dict(enumerate(ctx.members[1].values, start=1)) == {1: 3.0, 2: 3.0}
 
     def test_identity_single_eigenspace(self):
         ctx = joint_diagonalize([op(np.eye(3))], UNIFORM)
         assert np.array_equal(ctx.decomposition.eigenvalues, [1.0])
-        assert ctx.members[0].transfer_table() == {1: 1.0}
+        assert dict(enumerate(ctx.members[0].values, start=1)) == {1: 1.0}
 
     def test_involution_and_its_square(self):
         # joint basis is the eigenbasis of X; X^2 = I is constant on it
         ctx = joint_diagonalize([op(PAULI_X), op(PAULI_X @ PAULI_X)], UNIFORM)
         w, v = np.linalg.eigh(PAULI_X)  # independent eigensolver oracle
-        table_x = ctx.members[0].transfer_table()
+        table_x = dict(enumerate(ctx.members[0].values, start=1))
         assert table_x[1] == pytest.approx(w[0], abs=1e-10)
         assert table_x[2] == pytest.approx(w[1], abs=1e-10)
-        assert ctx.members[1].transfer_table() == pytest.approx({1: 1.0, 2: 1.0}, abs=1e-10)
+        assert dict(enumerate(ctx.members[1].values, start=1)) == pytest.approx({1: 1.0, 2: 1.0}, abs=1e-10)
 
     def test_non_commuting_rejected(self):
         with pytest.raises(NotCommuting):
@@ -90,7 +92,7 @@ class TestJointDiagonalize:
         for member in ctx.members:
             rebuilt = sum(
                 value * spectral_projector(ctx.decomposition, iv.singleton(label))
-                for label, value in enumerate(member.transfer, start=1)
+                for label, value in enumerate(member.values, start=1)
             )
             scale = max(1.0, np.linalg.norm(member.operator.entries))
             assert np.linalg.norm(rebuilt - member.operator.entries) <= 1e-8 * scale
@@ -101,7 +103,7 @@ class TestJointDiagonalize:
         rng = np.random.default_rng(50)
         ctx = joint_diagonalize(random_commuting_family(rng, 5, 2), UNIFORM, rng=rng)
         for member in ctx.members:
-            table = member.transfer
+            table = member.values
             rebuilt = apply_borel(ctx.decomposition, lambda lam: table[int(round(lam)) - 1])
             scale = max(1.0, np.linalg.norm(member.operator.entries))
             assert np.linalg.norm(rebuilt.entries - member.operator.entries) <= 1e-8 * scale
@@ -139,7 +141,7 @@ class TestContextObservable:
         for _ in range(10):
             point = HiddenPoint(ray=random_ray(rng, 4), u=float(rng.uniform(0.01, 0.99)))
             label = ctx.f0.evaluate(point)
-            assert g.evaluate(point) == ctx.members[0].transfer[int(label) - 1]
+            assert g.evaluate(point) == ctx.members[0].values[int(label) - 1]
 
     def test_involution_member_matches_standalone_quantile(self):
         rng = np.random.default_rng(3)
@@ -177,7 +179,7 @@ class TestContextCombine:
     def test_hand_sum(self):
         ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
         fn, operator = context_combine(ctx, [2.0, 3.0], "sum")
-        assert dict(enumerate(fn.table, start=1)) == {1: 11.0, 2: 13.0}
+        assert dict(enumerate(fn.values, start=1)) == {1: 11.0, 2: 13.0}
         np.testing.assert_allclose(operator.entries, np.diag([11.0, 13.0]), atol=1e-12)
 
     def test_sum_of_opposites_is_zero(self):
@@ -185,7 +187,7 @@ class TestContextCombine:
         A = random_hermitian(rng, 3)
         ctx = joint_diagonalize([A, validate_hermitian(-A.entries)], UNIFORM, rng=rng)
         fn, operator = context_combine(ctx, [1.0, 1.0], "sum")
-        np.testing.assert_allclose(fn.table, 0.0, atol=1e-10)
+        np.testing.assert_allclose(fn.values, 0.0, atol=1e-10)
         np.testing.assert_allclose(operator.entries, 0.0, atol=1e-10)
 
     def test_product_squares_member(self):
@@ -193,7 +195,7 @@ class TestContextCombine:
         A = random_hermitian(rng, 3)
         ctx = joint_diagonalize([A, A], UNIFORM, rng=rng)
         fn, operator = context_combine(ctx, [1.0, 1.0], "product")
-        np.testing.assert_allclose(fn.table, ctx.members[0].transfer ** 2, atol=1e-12)
+        np.testing.assert_allclose(fn.values, ctx.members[0].values ** 2, atol=1e-12)
         scale = max(1.0, np.linalg.norm(A.entries) ** 2)
         assert np.linalg.norm(operator.entries - A.entries @ A.entries) <= 1e-10 * scale
 
@@ -360,3 +362,8 @@ class TestPartitionContext:
     def test_non_projector_rejected(self):
         with pytest.raises(NotOrthogonalFamily):
             partition_context([np.diag([0.5, 0.0])], [1.0], UNIFORM)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_projector_rejected(self, bad):
+        with pytest.raises(NotOrthogonalFamily):
+            make_partition_context([np.eye(2), np.diag([bad, 0.0])], UNIFORM)

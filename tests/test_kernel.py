@@ -20,6 +20,7 @@ from hobs import (
     DimensionMismatch,
     StateVector,
     GammaModel,
+    HiddenObservable,
     HiddenPoint,
     LineSteps,
     NonQuadraticFirstMoment,
@@ -215,6 +216,11 @@ class TestHiddenObservable:
         f = build_hidden_observable(op(np.eye(3)), UNIFORM)
         with pytest.raises(DimensionMismatch):
             evaluate(f, HiddenPoint(ray=state(1, 0), u=0.5))
+
+    def test_value_table_needs_one_entry_per_piece(self):
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        with pytest.raises(DimensionMismatch):
+            HiddenObservable(operator=f.operator, decomposition=f.decomposition, gamma=UNIFORM, values=[1.0])
 
     def test_values_stay_in_spectrum(self):
         rng = np.random.default_rng(23)
@@ -446,7 +452,16 @@ class TestPropositions:
             added = sum(proposition_measure_on_line(L, psi) for L in props)
             assert added == pytest.approx(expectation(total, psi), abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.diag([0.5, 0.5]), [[0.0, 1.0], [0.0, 0.0]], np.ones((2, 3))])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.diag([0.5, 0.5]),
+            [[0.0, 1.0], [0.0, 0.0]],
+            np.ones((2, 3)),
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -math.inf]],
+        ],
+    )
     def test_not_a_projector(self, bad):
         with pytest.raises(NotAProjector):
             proposition_from_projector(bad, UNIFORM)
@@ -490,7 +505,7 @@ class TestLineWeightsFromEigenvectorBlocks:
     def test_proposition(self, rank):
         rng = np.random.default_rng(40 + rank)
         E = random_projector(rng, 5, rank)
-        S = proposition_from_projector(E, UNIFORM).underlying.decomposition
+        S = proposition_from_projector(E, UNIFORM).decomposition
         family = [np.eye(5) - E, E]
         projectors = [P for P in family if np.trace(P).real > 0.5]
         self.check(S, projectors, rng)
