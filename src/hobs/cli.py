@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -29,6 +28,7 @@ from .contexts import SHARED_U_CAVEAT, Context, homomorphism_check, joint_diagon
 from .errors import (
     DegeneracyResolutionFailure,
     EigensolverFailure,
+    EvaluationError,
     HobsError,
     NonQuadraticFirstMoment,
     NotCommuting,
@@ -53,26 +53,6 @@ EIGEN_ENSEMBLE_CAVEAT = (
     "the hidden mixed state uses the eigen-ensemble of the density matrix; "
     "the correspondence from mixtures to matrices is many-to-one"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    tolerance: float
-    gamma_kind: str
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise click.UsageError("--tol must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise click.UsageError("--seed must fit in 64 unsigned bits")
-        if self.workers < 1:
-            raise click.UsageError("--workers must be >= 1")
-
-    @property
-    def gamma(self) -> GammaModel:
-        return GammaModel(kind=self.gamma_kind)
 
 
 class _InputError(click.ClickException):
@@ -194,18 +174,36 @@ def _emit_report(command: str, digest: str, results: dict, passed: bool, caveats
 def _numeric_guard(fn):
     try:
         return fn()
+    except EvaluationError as exc:
+        raise _InputError(f"bad expression: {exc}") from exc
     except (EigensolverFailure, DegeneracyResolutionFailure, NonQuadraticFirstMoment, np.linalg.LinAlgError) as exc:
         click.echo(f"internal numeric failure: {exc}", err=True)
         sys.exit(3)
 
 
+def _finite_positive(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise click.BadParameter(f"{value} is not finite and positive")
+    return value
+
+
 def _common_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True, help="64-bit RNG seed.")(fn)
-    fn = click.option("--tol", "tolerance", type=float, default=1e-8, show_default=True, help="Pass/fail tolerance.")(fn)
+    fn = click.option(
+        "--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="64-bit RNG seed."
+    )(fn)
+    fn = click.option(
+        "--tol",
+        "tolerance",
+        type=float,
+        callback=_finite_positive,
+        default=1e-8,
+        show_default=True,
+        help="Pass/fail tolerance, finite and positive.",
+    )(fn)
     fn = click.option(
         "--gamma",
-        "gamma_kind",
         type=click.Choice(["uniform", "arg"]),
+        callback=lambda ctx, param, kind: GammaModel(kind=kind),
         default="uniform",
         show_default=True,
         help="Hidden parameter model.",
@@ -229,14 +227,11 @@ def cli():
 @click.argument("t_file", type=click.Path(exists=True))
 @click.argument("d_file", type=click.Path(exists=True))
 @click.argument("b_expr")
-@click.option("--samples", type=int, default=100000, show_default=True, help="Monte Carlo sample count.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker threads for sampling.")
+@click.option("--samples", type=click.IntRange(min=2), default=100000, show_default=True, help="Monte Carlo sample count.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads for sampling.")
 @_common_options
-def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma_kind, output_path):
+def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma, output_path):
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
-    config = RunConfig(seed=seed, tolerance=tolerance, gamma_kind=gamma_kind, workers=workers)
-    if samples < 2:
-        raise click.UsageError("--samples must be >= 2 for Monte Carlo verification")
     t_data, T = _load_operator(t_file)
     d_data, D = _load_density(d_file)
     if T.dim != D.dim:
@@ -244,26 +239,26 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
     b = _parse_expression(b_expr)
     digest = _digest(
         [t_data, d_data],
-        {"b": b_expr, "command": "verify-trace", "gamma": gamma_kind, "samples": samples, "seed": seed, "tol": tolerance},
+        {"b": b_expr, "command": "verify-trace", "gamma": gamma.kind, "samples": samples, "seed": seed, "tol": tolerance},
     )
 
     def run():
         from .spectral import apply_borel
 
-        f = build_hidden_observable(T, config.gamma)
-        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=config.gamma)
+        f = build_hidden_observable(T, gamma)
+        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=gamma)
         trace_value = trace_expectation(apply_borel(f.decomposition, b), D)
         exact = exact_classical_mean(f, b, mu)
-        estimate = mc_estimate(f, b, mu, SampleStream(seed=config.seed), samples, workers=config.workers)
+        estimate = mc_estimate(f, b, mu, SampleStream(seed=seed), samples, workers=workers)
         exact_gap = abs(trace_value - exact)
         mc_gap = abs(estimate.mean - trace_value)
         if estimate.std_error > 0.0:
             z = mc_gap / estimate.std_error
         else:
-            z = 0.0 if mc_gap <= config.tolerance else math.inf
+            z = 0.0 if mc_gap <= tolerance else math.inf
         # exact_gap is held to tol * max(1, max_i |b(lambda_i)|), the scale of the
         # compared sums; b is evaluated once more only when it exceeds tol itself
-        exact_ok = exact_gap <= config.tolerance or exact_gap <= config.tolerance * float(
+        exact_ok = exact_gap <= tolerance or exact_gap <= tolerance * float(
             np.max(np.abs(function_values(b, f.values)))
         )
         passed = exact_ok and z <= 4.0
@@ -276,7 +271,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
             "mc_std_error": estimate.std_error,
             "mc_z_score": z,
             "samples": samples,
-            "tolerance": config.tolerance,
+            "tolerance": tolerance,
             "trace": trace_value,
         }
         return results, passed
@@ -287,26 +282,21 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
 
 @cli.command("support")
 @click.argument("t_file", type=click.Path(exists=True))
-@click.option("--samples", type=int, default=100000, show_default=True, help="Total sampled evaluations.")
-@click.option("--rays", type=int, default=100, show_default=True, help="Random rays to spread samples over.")
+@click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True, help="Total sampled evaluations.")
+@click.option("--rays", type=click.IntRange(min=1), default=100, show_default=True, help="Random rays to spread samples over.")
 @_common_options
-def cmd_support(t_file, samples, rays, seed, tolerance, gamma_kind, output_path):
+def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
     """Check sampled values of the observable function land in the spectrum."""
-    config = RunConfig(seed=seed, tolerance=tolerance, gamma_kind=gamma_kind)
-    if samples < 1 or rays < 1:
-        raise click.UsageError("--samples and --rays must be >= 1")
     t_data, T = _load_operator(t_file)
     digest = _digest(
         [t_data],
-        {"command": "support", "gamma": gamma_kind, "rays": rays, "samples": samples, "seed": seed, "tol": tolerance},
+        {"command": "support", "gamma": gamma.kind, "rays": rays, "samples": samples, "seed": seed, "tol": tolerance},
     )
 
     def run():
-        f = build_hidden_observable(T, config.gamma)
+        f = build_hidden_observable(T, gamma)
         per_ray = max(1, samples // rays)
-        report = spectral_support_check(
-            f, n_rays=rays, samples_per_ray=per_ray, rng=np.random.default_rng(config.seed)
-        )
+        report = spectral_support_check(f, n_rays=rays, samples_per_ray=per_ray, rng=np.random.default_rng(seed))
         results = {
             "eigenvalues": list(f.decomposition.eigenvalues),
             "n_evaluations": report.n_evaluations,
@@ -329,20 +319,19 @@ def _transfer_tables(ctx: Context) -> dict:
 @click.argument("family_files", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--trials", type=int, default=16, show_default=True, help="Random closure trials.")
 @_common_options
-def cmd_context(family_files, trials, seed, tolerance, gamma_kind, output_path):
+def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
     """Joint-diagonalize a commuting family and verify algebra closure."""
-    config = RunConfig(seed=seed, tolerance=tolerance, gamma_kind=gamma_kind)
     loaded = [_load_operator(path) for path in family_files]
     family = [operator for _, operator in loaded]
     digest = _digest(
         [data for data, _ in loaded],
-        {"command": "context", "gamma": gamma_kind, "seed": seed, "tol": tolerance, "trials": trials},
+        {"command": "context", "gamma": gamma.kind, "seed": seed, "tol": tolerance, "trials": trials},
     )
 
     def run():
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         try:
-            ctx = joint_diagonalize(family, config.gamma, rng=rng)
+            ctx = joint_diagonalize(family, gamma, rng=rng)
         except NotCommuting as exc:
             return {"branch": "not-commuting", "detail": str(exc)}, False
         report = homomorphism_check(ctx, trials=trials, rng=rng)
@@ -366,20 +355,17 @@ def cmd_context(family_files, trials, seed, tolerance, gamma_kind, output_path):
 @click.argument("b_file", type=click.Path(exists=True))
 @click.option("--search", type=int, default=4096, show_default=True, help="Random witness rays to try.")
 @_common_options
-def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma_kind, output_path):
+def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
-    config = RunConfig(seed=seed, tolerance=tolerance, gamma_kind=gamma_kind)
     a_data, A = _load_operator(a_file)
     b_data, B = _load_operator(b_file)
     digest = _digest(
         [a_data, b_data],
-        {"command": "nogo", "gamma": gamma_kind, "search": search, "seed": seed, "tol": tolerance},
+        {"command": "nogo", "gamma": gamma.kind, "search": search, "seed": seed, "tol": tolerance},
     )
 
     def run():
-        report = nogo_witness(
-            A, B, config.gamma, search=search, rng=np.random.default_rng(config.seed), tolerance=config.tolerance
-        )
+        report = nogo_witness(A, B, gamma, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
         results = {
             "branch": report.branch,
             "gap": report.gap,
@@ -432,21 +418,18 @@ def _sample_inputs(path: str, observable_path: str | None):
 @cli.command("sample")
 @click.argument("input_file", type=click.Path(exists=True))
 @click.option("--observable", "observable_path", type=click.Path(exists=True), default=None, help="Operator whose observable function fills the value column.")
-@click.option("--samples", type=int, default=1000, show_default=True, help="Rows to draw.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker threads.")
+@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True, help="Rows to draw.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads.")
 @_common_options
-def cmd_sample(input_file, observable_path, samples, workers, seed, tolerance, gamma_kind, output_path):
+def cmd_sample(input_file, observable_path, samples, workers, seed, tolerance, gamma, output_path):
     """Dump hidden samples as CSV: component_index,u,value."""
-    config = RunConfig(seed=seed, tolerance=tolerance, gamma_kind=gamma_kind, workers=workers)
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
     ensemble, observable = _sample_inputs(input_file, observable_path)
 
     def run():
-        f = build_hidden_observable(observable, config.gamma)
-        mu = HiddenMixedState(ensemble=ensemble, gamma=config.gamma)
+        f = build_hidden_observable(observable, gamma)
+        mu = HiddenMixedState(ensemble=ensemble, gamma=gamma)
         buffer = io.StringIO()
-        dump_samples_csv(f, mu, SampleStream(seed=config.seed), samples, buffer, workers=config.workers)
+        dump_samples_csv(f, mu, SampleStream(seed=seed), samples, buffer, workers=workers)
         return buffer.getvalue()
 
     text = _numeric_guard(run)

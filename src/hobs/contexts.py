@@ -122,6 +122,9 @@ def joint_diagonalize(
     for _ in range(retries):
         coeffs = rng.uniform(1.0, 2.0, size=len(ops))
         combo = np.tensordot(coeffs, [op.entries for op in ops], axes=1)
+        # a scalar shift moves no eigenspace; without this one, a large common
+        # offset would set the cluster tolerance and merge distinct joint eigenspaces
+        combo = combo - np.trace(combo).real / dim * np.eye(dim)
         w, v = np.linalg.eigh((combo + combo.conj().T) / 2.0)
         offsets = _cluster_offsets(w, JOINT_DIAG_TOL * max(1.0, float(np.max(np.abs(w)))))
         sizes = np.diff(offsets, append=len(w))

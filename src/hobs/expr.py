@@ -23,82 +23,36 @@ literals such as ``ind(-1, 0)`` parse.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ArityError, ExprSyntaxError, NaNInput
 
 # ---------------------------------------------------------------------------
-# AST
+# Expression tree
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class Node:
+    """One production of the grammar, named by `op`, over the subtrees `args`.
+
+    op is 'num' (the literal `value`), 'x', 'neg', '+', '-', '*', '^'
+    (the nonnegative integer exponent in `value`, which keeps bounded
+    sets bounded), 'abs', 'min', 'max', 'step', 'ind' or 'clamp'.
+    step/ind/clamp carry their subject as args[0]: the variable at parse
+    time, any node after composition.
+    """
+
+    op: str
+    args: tuple["Node", ...] = ()
+    value: float = 0.0
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int  # nonneg integer: keeps bounded sets bounded
-
-
-@dataclass(frozen=True)
-class Abs:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class MinMax:
-    op: str  # 'min' or 'max'
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Step:
-    # indicator of {subject >= threshold}; subject starts as Var and may
-    # become any node under composition
-    subject: "Node"
-    threshold: "Node"
-
-
-@dataclass(frozen=True)
-class Ind:
-    # indicator of {lower <= subject <= upper}, both ends closed
-    subject: "Node"
-    lower: "Node"
-    upper: "Node"
-
-
-@dataclass(frozen=True)
-class Clamp:
-    subject: "Node"
-    lower: "Node"
-    upper: "Node"
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow, Abs, MinMax, Step, Ind, Clamp]
+_X = Node("x")
+_SUBJECT_FUNCTIONS = frozenset({"step", "ind", "clamp"})
 
 
 # ---------------------------------------------------------------------------
@@ -125,135 +79,94 @@ def _int_power(base, n: int):
     return result
 
 
+_EVAL = {
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
+    # indicator of {subject >= threshold}
+    "step": lambda s, t: np.where(s >= t, 1.0, 0.0),
+    # indicator of {lower <= subject <= upper}, both ends closed
+    "ind": lambda s, lo, hi: np.where((s >= lo) & (s <= hi), 1.0, 0.0),
+    "clamp": lambda s, lo, hi: np.minimum(np.maximum(s, lo), hi),
+}
+
+
 def _eval(node: Node, x):
-    if isinstance(node, Num):
+    if node.op == "num":
         return node.value
-    if isinstance(node, Var):
+    if node.op == "x":
         return x
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x)
-        b = _eval(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
-    if isinstance(node, Pow):
-        return _int_power(_eval(node.base, x), node.exponent)
-    if isinstance(node, Abs):
-        return np.abs(_eval(node.arg, x))
-    if isinstance(node, MinMax):
-        a = _eval(node.left, x)
-        b = _eval(node.right, x)
-        return np.minimum(a, b) if node.op == "min" else np.maximum(a, b)
-    if isinstance(node, Step):
-        s = _eval(node.subject, x)
-        t = _eval(node.threshold, x)
-        return np.where(s >= t, 1.0, 0.0)
-    if isinstance(node, Ind):
-        s = _eval(node.subject, x)
-        lo = _eval(node.lower, x)
-        hi = _eval(node.upper, x)
-        return np.where((s >= lo) & (s <= hi), 1.0, 0.0)
-    if isinstance(node, Clamp):
-        s = _eval(node.subject, x)
-        lo = _eval(node.lower, x)
-        hi = _eval(node.upper, x)
-        return np.minimum(np.maximum(s, lo), hi)
-    raise TypeError(f"unknown node {node!r}")
+    args = [_eval(arg, x) for arg in node.args]
+    if node.op == "^":
+        return _int_power(args[0], node.value)
+    return _EVAL[node.op](*args)
 
 
 def _substitute(node: Node, replacement: Node) -> Node:
-    if isinstance(node, Var):
+    if node.op == "x":
         return replacement
-    if isinstance(node, (Num,)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.arg, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _substitute(node.left, replacement), _substitute(node.right, replacement))
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, replacement), node.exponent)
-    if isinstance(node, Abs):
-        return Abs(_substitute(node.arg, replacement))
-    if isinstance(node, MinMax):
-        return MinMax(node.op, _substitute(node.left, replacement), _substitute(node.right, replacement))
-    if isinstance(node, Step):
-        return Step(_substitute(node.subject, replacement), _substitute(node.threshold, replacement))
-    if isinstance(node, Ind):
-        return Ind(
-            _substitute(node.subject, replacement),
-            _substitute(node.lower, replacement),
-            _substitute(node.upper, replacement),
-        )
-    if isinstance(node, Clamp):
-        return Clamp(
-            _substitute(node.subject, replacement),
-            _substitute(node.lower, replacement),
-            _substitute(node.upper, replacement),
-        )
-    raise TypeError(f"unknown node {node!r}")
+    return replace(node, args=tuple(_substitute(arg, replacement) for arg in node.args))
 
 
 # ---------------------------------------------------------------------------
 # Interval arithmetic: a finite enclosure of the range over a box
 
 
+def _bound_mul(p, q):
+    prods = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+    return min(prods), max(prods)
+
+
+def _bound_abs(s):
+    a, b = s
+    top = max(abs(a), abs(b))
+    bot = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+    return bot, top
+
+
+def _bound_pow(s, n: int):
+    if n == 0:
+        return 1.0, 1.0
+    if n % 2 == 1:
+        return _int_power(s[0], n), _int_power(s[1], n)
+    return tuple(_int_power(v, n) for v in _bound_abs(s))
+
+
+# each rule maps the argument intervals to an interval enclosing the result
+_BOUND = {
+    "neg": lambda s: (-s[1], -s[0]),
+    "+": lambda p, q: (p[0] + q[0], p[1] + q[1]),
+    "-": lambda p, q: (p[0] - q[1], p[1] - q[0]),
+    "*": _bound_mul,
+    "abs": _bound_abs,
+    "min": lambda p, q: (min(p[0], q[0]), min(p[1], q[1])),
+    "max": lambda p, q: (max(p[0], q[0]), max(p[1], q[1])),
+    "step": lambda *_: (0.0, 1.0),
+    "ind": lambda *_: (0.0, 1.0),
+    "clamp": lambda s, lo, hi: (min(max(s[0], lo[0]), hi[0]), min(max(s[1], lo[1]), hi[1])),
+}
+
+
 def _bound(node: Node, lo: float, hi: float) -> tuple[float, float]:
-    if isinstance(node, Num):
+    if node.op == "num":
         return node.value, node.value
-    if isinstance(node, Var):
+    if node.op == "x":
         return lo, hi
-    if isinstance(node, Neg):
-        a, b = _bound(node.arg, lo, hi)
-        return -b, -a
-    if isinstance(node, BinOp):
-        a1, b1 = _bound(node.left, lo, hi)
-        a2, b2 = _bound(node.right, lo, hi)
-        if node.op == "+":
-            return a1 + a2, b1 + b2
-        if node.op == "-":
-            return a1 - b2, b1 - a2
-        prods = (a1 * a2, a1 * b2, b1 * a2, b1 * b2)
-        return min(prods), max(prods)
-    if isinstance(node, Pow):
-        a, b = _bound(node.base, lo, hi)
-        n = node.exponent
-        if n == 0:
-            return 1.0, 1.0
-        if n % 2 == 1:
-            return _int_power(a, n), _int_power(b, n)
-        top = _int_power(max(abs(a), abs(b)), n)
-        bot = 0.0 if a <= 0.0 <= b else _int_power(min(abs(a), abs(b)), n)
-        return bot, top
-    if isinstance(node, Abs):
-        a, b = _bound(node.arg, lo, hi)
-        top = max(abs(a), abs(b))
-        bot = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-        return bot, top
-    if isinstance(node, MinMax):
-        a1, b1 = _bound(node.left, lo, hi)
-        a2, b2 = _bound(node.right, lo, hi)
-        if node.op == "min":
-            return min(a1, a2), min(b1, b2)
-        return max(a1, a2), max(b1, b2)
-    if isinstance(node, (Step, Ind)):
-        return 0.0, 1.0
-    if isinstance(node, Clamp):
-        s = _bound(node.subject, lo, hi)
-        a = _bound(node.lower, lo, hi)
-        b = _bound(node.upper, lo, hi)
-        m0, m1 = max(s[0], a[0]), max(s[1], a[1])
-        return min(m0, b[0]), min(m1, b[1])
-    raise TypeError(f"unknown node {node!r}")
+    args = [_bound(arg, lo, hi) for arg in node.args]
+    if node.op == "^":
+        return _bound_pow(args[0], node.value)
+    return _BOUND[node.op](*args)
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing back into the grammar
 
 _PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+_PREC_BINARY = {"+": _PREC_SUM, "-": _PREC_SUM, "*": _PREC_PROD}
 
 
 def _fmt_num(v: float) -> str:
@@ -263,44 +176,31 @@ def _fmt_num(v: float) -> str:
 
 
 def _fmt(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Num):
+    op, args = node.op, node.args
+    if op == "num":
         return _fmt_num(node.value)
-    if isinstance(node, Var):
+    if op == "x":
         return "x"
-    if isinstance(node, Neg):
-        return f"(-{_fmt(node.arg, _PREC_PROD)})"
-    if isinstance(node, BinOp):
-        prec = _PREC_SUM if node.op in "+-" else _PREC_PROD
+    if op == "neg":
+        return f"(-{_fmt(args[0], _PREC_PROD)})"
+    if op == "^":
+        text = f"{_fmt(args[0], _PREC_ATOM)}^{node.value}"
+        return f"({text})" if parent_prec > _PREC_POW else text
+    if op in _PREC_BINARY:
+        prec = _PREC_BINARY[op]
         # the right operand always gets the next level: parsing is
         # left-associative, and preserving association keeps the printed
         # form bit-identical under floating-point evaluation
-        text = f"{_fmt(node.left, prec)} {node.op} {_fmt(node.right, prec + 1)}"
+        text = f"{_fmt(args[0], prec)} {op} {_fmt(args[1], prec + 1)}"
         return f"({text})" if prec < parent_prec else text
-    if isinstance(node, Pow):
-        text = f"{_fmt(node.base, _PREC_ATOM)}^{node.exponent}"
-        return f"({text})" if parent_prec > _PREC_POW else text
-    if isinstance(node, Abs):
-        return f"abs({_fmt(node.arg, _PREC_SUM)})"
-    if isinstance(node, MinMax):
-        return f"{node.op}({_fmt(node.left, _PREC_SUM)}, {_fmt(node.right, _PREC_SUM)})"
-    if isinstance(node, Step):
-        _require_var_subject(node.subject, "step")
-        return f"step({_fmt(node.threshold, _PREC_SUM)})"
-    if isinstance(node, Ind):
-        _require_var_subject(node.subject, "ind")
-        return f"ind({_fmt(node.lower, _PREC_SUM)}, {_fmt(node.upper, _PREC_SUM)})"
-    if isinstance(node, Clamp):
-        _require_var_subject(node.subject, "clamp")
-        return f"clamp({_fmt(node.lower, _PREC_SUM)}, {_fmt(node.upper, _PREC_SUM)})"
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _require_var_subject(subject: Node, name: str) -> None:
-    if not isinstance(subject, Var):
-        raise ValueError(
-            f"{name} applied to a substituted argument has no surface syntax; "
-            "composed expressions can be evaluated but not always printed"
-        )
+    if op in _SUBJECT_FUNCTIONS:
+        if args[0] != _X:
+            raise ValueError(
+                f"{op} applied to a substituted argument has no surface syntax; "
+                "composed expressions can be evaluated but not always printed"
+            )
+        args = args[1:]
+    return f"{op}({', '.join(_fmt(arg, _PREC_SUM) for arg in args)})"
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +242,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -354,11 +253,14 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
+    def accept(self, ops: str) -> _Token | None:
+        """Consume and return the next token if it is one of the operator characters `ops`."""
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
-        return self.advance()
+        return self.advance() if tok.kind == "op" and tok.text in ops else None
+
+    def expect_op(self, op: str) -> None:
+        if self.accept(op) is None:
+            raise ExprSyntaxError(f"expected {op!r}", self.peek().pos)
 
     def parse(self) -> Node:
         node = self.expr()
@@ -368,51 +270,43 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            negate = tok.text == "-"
+        sign = self.accept("+-")
         node = self.term()
-        if negate:
-            node = Neg(node)
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+        if sign is not None and sign.text == "-":
+            node = Node("neg", (node,))
+        while (tok := self.accept("+-")) is not None:
+            node = Node(tok.text, (node, self.term()))
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            node = BinOp("*", node, self.factor())
+        while self.accept("*"):
+            node = Node("*", (node, self.factor()))
         return node
 
     def factor(self) -> Node:
         node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             tok = self.peek()
             if tok.kind != "num" or not tok.text.isdigit():
                 raise ExprSyntaxError("exponent must be an unsigned integer", tok.pos)
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = Node("^", (node,), int(tok.text))
         return node
 
     def atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Node("num", value=float(tok.text))
         if tok.kind == "name":
             self.advance()
             if tok.text == "x":
-                return Var()
+                return _X
             if tok.text in _FUNCTIONS:
                 return self.call(tok)
             raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             node = self.expr()
             self.expect_op(")")
             return node
@@ -421,23 +315,15 @@ class _Parser:
     def call(self, name_tok: _Token) -> Node:
         self.expect_op("(")
         args = [self.expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
+        while self.accept(","):
             args.append(self.expr())
         self.expect_op(")")
         want = _FUNCTIONS[name_tok.text]
         if len(args) != want:
             raise ArityError(f"{name_tok.text} takes {want} argument(s), got {len(args)}")
-        name = name_tok.text
-        if name == "abs":
-            return Abs(args[0])
-        if name in ("min", "max"):
-            return MinMax(name, args[0], args[1])
-        if name == "step":
-            return Step(Var(), args[0])
-        if name == "ind":
-            return Ind(Var(), args[0], args[1])
-        return Clamp(Var(), args[0], args[1])
+        if name_tok.text in _SUBJECT_FUNCTIONS:
+            args.insert(0, _X)
+        return Node(name_tok.text, tuple(args))
 
 
 # ---------------------------------------------------------------------------

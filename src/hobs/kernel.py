@@ -66,13 +66,10 @@ class GammaModel:
     """
 
     kind: str
-    eta_kind: str = "complex-gaussian"
 
     def __post_init__(self):
         if self.kind not in ("uniform", "arg"):
             raise ValueError(f"unknown gamma kind {self.kind!r}")
-        if self.kind == "arg" and self.eta_kind != "complex-gaussian":
-            raise ValueError(f"unsupported line law {self.eta_kind!r}")
 
     @classmethod
     def uniform(cls) -> "GammaModel":

@@ -6,7 +6,7 @@ read-only), so any operation here may be called concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -120,7 +120,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray  # shape (m,), strictly increasing
     vectors: np.ndarray  # shape (d, d), orthonormal columns grouped by eigenvalue
     offsets: np.ndarray  # shape (m,), first column of each block; offsets[0] == 0
-    source_norm: float = field(init=False)  # max |eigenvalue|
 
     def __post_init__(self):
         w = _readonly(np.array(self.eigenvalues, dtype=float))
@@ -129,7 +128,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "offsets", o)
-        object.__setattr__(self, "source_norm", float(np.max(np.abs(w))) if w.size else 0.0)
 
     @property
     def dim(self) -> int:
@@ -203,17 +201,19 @@ def function_values(b, x: np.ndarray) -> np.ndarray:
     """b at each entry of x, checked finite.
 
     `b` is a BorelExpr or any real-valued callable; one vectorized call
-    is tried first, then one call per entry.
+    is tried first, then one call per entry.  Overflow is not warned
+    about: it is reported by the finite check.
     """
-    try:
-        values = np.asarray(b(x), dtype=float)
-        if values.shape != x.shape:
-            raise TypeError("not vectorized")
-    except Exception:
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            values = np.array([float(b(v)) for v in x], dtype=float)
-        except Exception as exc:
-            raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
+            values = np.asarray(b(x), dtype=float)
+            if values.shape != x.shape:
+                raise TypeError("not vectorized")
+        except Exception:
+            try:
+                values = np.array([float(b(v)) for v in x], dtype=float)
+            except Exception as exc:
+                raise EvaluationError(f"function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function takes a non-finite value on the spectrum")
     return values

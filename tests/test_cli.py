@@ -142,6 +142,13 @@ class TestVerifyTrace:
         assert results["mc_std_error"] == pytest.approx(math.sqrt(1.25 / 1e6), rel=1e-2)
         assert results["mc_z_score"] <= 4.0
 
+    def test_expression_overflowing_on_spectrum_is_input_error(self, runner, tmp_path):
+        t = write_matrix(tmp_path / "T.json", np.diag(1e8 + np.arange(4.0)))
+        d = write_matrix(tmp_path / "D.json", np.eye(4) / 4)
+        result = runner.invoke(cli, ["verify-trace", t, d, "((x^9)^9)^9", "--samples", "100"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == ["Error: bad expression: function takes a non-finite value on the spectrum"]
+
     @given(
         dim=st.integers(2, 6),
         expression=st.sampled_from(["x", "x^2", "clamp(-1, 1)"]),
@@ -439,6 +446,22 @@ class TestConfigValidation:
     def test_negative_tolerance_rejected(self, runner, files):
         result = runner.invoke(cli, ["support", files["identity"], "--tol", "-1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-trace", "{identity}", "{mixed}", "x", "--samples", "100"],
+            ["support", "{identity}", "--samples", "10", "--rays", "1"],
+            ["context", "{identity}"],
+            ["nogo", "{pauli_x}", "{pauli_z}", "--search", "4"],
+            ["sample", "{mixed}", "--samples", "3"],
+        ],
+    )
+    def test_non_finite_tolerance_rejected(self, runner, files, args, bad):
+        result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--tol", bad])
+        assert result.exit_code == 2, result.output
+        assert "--tol" in result.output
 
     def test_samples_below_two_rejected_for_mc(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "1"])

@@ -69,6 +69,18 @@ class TestJointDiagonalize:
         assert table_x[2] == pytest.approx(w[1], abs=1e-10)
         assert dict(enumerate(ctx.members[1].values, start=1)) == pytest.approx({1: 1.0, 2: 1.0}, abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    @pytest.mark.parametrize("shift", [-1e8, 1e8, 1e4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_common_offset_keeps_joint_eigenspaces_apart(self, dim, shift, seed):
+        # T = shift*I + 0.01*H has d distinct eigenvalues, which a cluster
+        # tolerance scaled by the offset instead of the spread would merge
+        rng = np.random.default_rng(seed)
+        T = shift * np.eye(dim) + random_hermitian(rng, dim, scale=0.01).entries
+        ctx = joint_diagonalize([op(T), op(T @ T - T)], UNIFORM, rng=rng)
+        assert ctx.n_labels == dim
+        np.testing.assert_allclose(np.sort(ctx.members[0].values), np.linalg.eigvalsh(T), rtol=0.0, atol=1e-6)
+
     def test_non_commuting_rejected(self):
         with pytest.raises(NotCommuting):
             joint_diagonalize([op(PAULI_X), op(PAULI_Z)], UNIFORM)

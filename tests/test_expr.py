@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,3 +195,35 @@ class TestRoundTripAndBounds:
         vec = b(xs)
         for x, v in zip(xs, vec):
             assert b(float(x)) == v
+
+
+class TestPinnedOutputs:
+    # SHA-256 of the language's exact outputs over 300 seeded random
+    # expressions, as produced before the tree became one node type: the
+    # evaluation bits (including signed zeros and overflow to +-inf or
+    # NaN), interval bounds on three boxes, printed forms, and for each
+    # composition with the previous expression its source text,
+    # evaluation bits and bounds.  Any change to a result changes it.
+    XS = np.array(
+        [0.0, -0.0, 1e300, -1e300, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e-300, 7.25, -7.25]
+        + list(np.linspace(-4, 4, 33))
+    )
+    BOXES = ((-1.0, 1.0), (-5.0, 0.25), (2.0, 3.0))
+    DIGEST = "28c11d2e41f4b5e3d325730bfbed8ffa185df5349435bfad56572de982a2d439"
+
+    def test_outputs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        prev = None
+        with np.errstate(all="ignore"):
+            for seed in range(300):
+                b = parse(random_expression_text(np.random.default_rng(seed), depth=1 + seed % 4))
+                h.update(b(self.XS).tobytes())
+                h.update(repr([interval_bound(b, lo, hi) for lo, hi in self.BOXES]).encode())
+                h.update(format_expr(b).encode())
+                if prev is not None:
+                    c = compose(b, prev)
+                    h.update(c.source.encode())
+                    h.update(c(self.XS).tobytes())
+                    h.update(repr([interval_bound(c, lo, hi) for lo, hi in self.BOXES]).encode())
+                prev = b
+        assert h.hexdigest() == self.DIGEST

@@ -110,10 +110,6 @@ class TestSpectralDecompose:
             total += P
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
 
-    def test_source_norm_is_max_abs_eigenvalue(self):
-        S = spectral_decompose(op(np.diag([-3.0, 1.0, 2.0])))
-        assert S.source_norm == 3.0
-
 
 class TestSpectralProjector:
     def test_halfline_picks_negative_eigenspace(self):
