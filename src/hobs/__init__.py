@@ -53,7 +53,6 @@ from .kernel import (
     GammaModel,
     HiddenObservable,
     HiddenPoint,
-    LineSteps,
     SharedParameterSum,
     build_hidden_observable,
     cdf,

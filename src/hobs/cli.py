@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import expr
+from . import expr, spectral
 from .contexts import SHARED_U_CAVEAT, Context, homomorphism_check, joint_diagonalize, nogo_witness
 from .errors import (
     DegeneracyResolutionFailure,
@@ -89,28 +89,20 @@ def _load_complex(path: str) -> tuple[object, np.ndarray]:
         raise _InputError(f"{path}: malformed numeric data: {exc}") from exc
 
 
-def _as_operator(entries: np.ndarray, path: str) -> HermitianOperator:
+def _as_matrix(entries: np.ndarray, path: str, density: bool = False) -> HermitianOperator | DensityMatrix:
+    """A Hermitian operator, or with density=True a density matrix; a bad matrix is an input error."""
     if entries.ndim != 2:
         raise _InputError(f"{path}: expected a matrix, got a vector")
     try:
-        return validate_hermitian(entries)
-    except HobsError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _load_operator(path: str) -> tuple[object, HermitianOperator]:
-    data, entries = _load_complex(path)
-    return data, _as_operator(entries, path)
-
-
-def _load_density(path: str) -> tuple[object, DensityMatrix]:
-    data, entries = _load_complex(path)
-    if entries.ndim != 2:
-        raise _InputError(f"{path}: expected a matrix, got a vector")
-    try:
-        return data, DensityMatrix(entries=entries)
+        return DensityMatrix(entries=entries) if density else validate_hermitian(entries)
     except (HobsError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_matrix(path: str, density: bool = False) -> tuple[object, HermitianOperator | DensityMatrix]:
+    """The file's parsed JSON and the matrix it holds, as for _as_matrix."""
+    data, entries = _load_complex(path)
+    return data, _as_matrix(entries, path, density)
 
 
 def _parse_expression(text: str) -> expr.BorelExpr:
@@ -181,6 +173,17 @@ def _numeric_guard(fn):
         sys.exit(3)
 
 
+def _report(command: str, inputs: list, config: dict, run, caveats: list[str], seed, tolerance, gamma, out) -> None:
+    """Digest the inputs and config, run the check under the numeric guard, and emit its report.
+
+    `run()` returns (results, passed); the digest config gains the
+    options every report command shares.
+    """
+    digest = _digest(inputs, {**config, "command": command, "gamma": gamma.kind, "seed": seed, "tol": tolerance})
+    results, passed = _numeric_guard(run)
+    _emit_report(command, digest, results, passed, caveats, out)
+
+
 def _finite_positive(ctx, param, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise click.BadParameter(f"{value} is not finite and positive")
@@ -232,22 +235,16 @@ def cli():
 @_common_options
 def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma, output_path):
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
-    t_data, T = _load_operator(t_file)
-    d_data, D = _load_density(d_file)
+    t_data, T = _load_matrix(t_file)
+    d_data, D = _load_matrix(d_file, density=True)
     if T.dim != D.dim:
         raise _InputError(f"dimension mismatch: {t_file} is {T.dim}x{T.dim}, {d_file} is {D.dim}x{D.dim}")
     b = _parse_expression(b_expr)
-    digest = _digest(
-        [t_data, d_data],
-        {"b": b_expr, "command": "verify-trace", "gamma": gamma.kind, "samples": samples, "seed": seed, "tol": tolerance},
-    )
 
     def run():
-        from .spectral import apply_borel
-
         f = build_hidden_observable(T, gamma)
         mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=gamma)
-        trace_value = trace_expectation(apply_borel(f.decomposition, b), D)
+        trace_value = trace_expectation(spectral.apply_borel(f.decomposition, b), D)
         exact = exact_classical_mean(f, b, mu)
         estimate = mc_estimate(f, b, mu, SampleStream(seed=seed), samples, workers=workers)
         exact_gap = abs(trace_value - exact)
@@ -276,8 +273,10 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
         }
         return results, passed
 
-    results, passed = _numeric_guard(run)
-    _emit_report("verify-trace", digest, results, passed, [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], output_path)
+    _report(
+        "verify-trace", [t_data, d_data], {"b": b_expr, "samples": samples}, run,
+        [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], seed, tolerance, gamma, output_path,
+    )
 
 
 @cli.command("support")
@@ -287,11 +286,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
 @_common_options
 def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
     """Check sampled values of the observable function land in the spectrum."""
-    t_data, T = _load_operator(t_file)
-    digest = _digest(
-        [t_data],
-        {"command": "support", "gamma": gamma.kind, "rays": rays, "samples": samples, "seed": seed, "tol": tolerance},
-    )
+    t_data, T = _load_matrix(t_file)
 
     def run():
         f = build_hidden_observable(T, gamma)
@@ -306,8 +301,10 @@ def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
         }
         return results, report.passed
 
-    results, passed = _numeric_guard(run)
-    _emit_report("support", digest, results, passed, [FINITE_DIM_CAVEAT], output_path)
+    _report(
+        "support", [t_data], {"rays": rays, "samples": samples}, run,
+        [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
+    )
 
 
 def _transfer_tables(ctx: Context) -> dict:
@@ -317,16 +314,12 @@ def _transfer_tables(ctx: Context) -> dict:
 
 @cli.command("context")
 @click.argument("family_files", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--trials", type=int, default=16, show_default=True, help="Random closure trials.")
+@click.option("--trials", type=click.IntRange(min=1), default=16, show_default=True, help="Random closure trials.")
 @_common_options
 def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
     """Joint-diagonalize a commuting family and verify algebra closure."""
-    loaded = [_load_operator(path) for path in family_files]
+    loaded = [_load_matrix(path) for path in family_files]
     family = [operator for _, operator in loaded]
-    digest = _digest(
-        [data for data, _ in loaded],
-        {"command": "context", "gamma": gamma.kind, "seed": seed, "tol": tolerance, "trials": trials},
-    )
 
     def run():
         rng = np.random.default_rng(seed)
@@ -346,23 +339,21 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
         }
         return results, report.passed
 
-    results, passed = _numeric_guard(run)
-    _emit_report("context", digest, results, passed, [FINITE_DIM_CAVEAT], output_path)
+    _report(
+        "context", [data for data, _ in loaded], {"trials": trials}, run,
+        [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
+    )
 
 
 @cli.command("nogo")
 @click.argument("a_file", type=click.Path(exists=True))
 @click.argument("b_file", type=click.Path(exists=True))
-@click.option("--search", type=int, default=4096, show_default=True, help="Random witness rays to try.")
+@click.option("--search", type=click.IntRange(min=1), default=4096, show_default=True, help="Random witness rays to try.")
 @_common_options
 def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
-    a_data, A = _load_operator(a_file)
-    b_data, B = _load_operator(b_file)
-    digest = _digest(
-        [a_data, b_data],
-        {"command": "nogo", "gamma": gamma.kind, "search": search, "seed": seed, "tol": tolerance},
-    )
+    a_data, A = _load_matrix(a_file)
+    b_data, B = _load_matrix(b_file)
 
     def run():
         report = nogo_witness(A, B, gamma, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
@@ -380,8 +371,10 @@ def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
         passed = report.branch in ("commuting", "witness")
         return results, passed
 
-    results, passed = _numeric_guard(run)
-    _emit_report("nogo", digest, results, passed, [FINITE_DIM_CAVEAT, SHARED_U_CAVEAT], output_path)
+    _report(
+        "nogo", [a_data, b_data], {"search": search}, run,
+        [FINITE_DIM_CAVEAT, SHARED_U_CAVEAT], seed, tolerance, gamma, output_path,
+    )
 
 
 def _sample_inputs(path: str, observable_path: str | None):
@@ -400,7 +393,7 @@ def _sample_inputs(path: str, observable_path: str | None):
         ensemble = Ensemble(weights=np.array([1.0]), rays=entries[None, :] / np.linalg.norm(entries))
         default_op = validate_hermitian(np.outer(entries, entries.conj()) / norm_sq)
     else:
-        operator = _as_operator(entries, path)
+        operator = _as_matrix(entries, path)
         try:
             density = DensityMatrix(entries=operator.entries)
             ensemble = ensemble_from_density(density)
@@ -409,7 +402,7 @@ def _sample_inputs(path: str, observable_path: str | None):
             density = DensityMatrix(entries=np.eye(dim, dtype=complex) / dim)
             ensemble = ensemble_from_density(density)
         default_op = operator
-    observable = _load_operator(observable_path)[1] if observable_path else default_op
+    observable = _load_matrix(observable_path)[1] if observable_path else default_op
     if observable.dim != ensemble.dim:
         raise _InputError(f"observable dimension {observable.dim} != state dimension {ensemble.dim}")
     return ensemble, observable

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,44 +208,6 @@ def quantile(S: SpectralDecomposition, psi: StateVector, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Step profiles along a line: the exact integration backbone
-
-
-@dataclass(frozen=True)
-class LineSteps:
-    """A step function of u on one line: values[i] on (edges[i], edges[i+1]].
-
-    Edges start at 0.0, end at 1.0, and increase strictly.
-    """
-
-    edges: np.ndarray
-    values: np.ndarray
-
-    @property
-    def right_edges(self) -> np.ndarray:
-        return self.edges[1:]
-
-    def value_at(self, u) -> np.ndarray:
-        """Value of the piece containing u, for u in (0, 1]."""
-        return self.values[_piece_index(self.right_edges, u)]
-
-    def integral(self, transform=None) -> float:
-        vals = self.values if transform is None else np.asarray(transform(self.values), dtype=float)
-        return float(np.dot(np.diff(self.edges), vals))
-
-
-class HiddenFunction(Protocol):
-    """Anything evaluable on hidden points with an exact per-line step profile."""
-
-    @property
-    def dim(self) -> int: ...
-
-    def evaluate(self, point: HiddenPoint) -> float: ...
-
-    def line_steps(self, psi: StateVector) -> LineSteps: ...
-
-
-# ---------------------------------------------------------------------------
 # The quantile-built observable
 
 
@@ -280,11 +242,6 @@ class HiddenObservable:
     def evaluate(self, point: HiddenPoint) -> float:
         return float(self.values_on_line(point.ray, point.u))
 
-    def line_steps(self, psi: StateVector) -> LineSteps:
-        p = line_weights(self.decomposition, psi)
-        keep = p > 0.0
-        return LineSteps(edges=np.concatenate(([0.0], _cumulative(p)[keep])), values=self.values[keep])
-
     def line_distribution(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Per-line value distribution as (values, weights), one entry per piece."""
         return np.array(self.values), line_weights(self.decomposition, psi)
@@ -300,7 +257,7 @@ def build_hidden_observable(T: HermitianOperator, gamma: GammaModel) -> HiddenOb
     return HiddenObservable(operator=T, decomposition=S, gamma=gamma, values=S.eigenvalues)
 
 
-def evaluate(f: HiddenFunction, point: HiddenPoint) -> float:
+def evaluate(f: HiddenObservable | SharedParameterSum, point: HiddenPoint) -> float:
     """Evaluate a hidden function at a hidden point."""
     if f.dim != point.ray.dim:
         raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {point.ray.dim}")
@@ -330,13 +287,18 @@ class SharedParameterSum:
     def evaluate(self, point: HiddenPoint) -> float:
         return float(sum(p.evaluate(point) for p in self.parts))
 
-    def line_steps(self, psi: StateVector) -> LineSteps:
-        profiles = [p.line_steps(psi) for p in self.parts]
-        right = np.unique(np.concatenate([s.right_edges for s in profiles]))
-        values = profiles[0].value_at(right).astype(float).copy()
-        for s in profiles[1:]:
-            values += s.value_at(right)
-        return LineSteps(edges=np.concatenate(([0.0], right)), values=values)
+    def line_distribution(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+        """Comonotone law of the sum: each part's value on the pieces cut by all positive-weight edges."""
+        laws = []
+        for part in self.parts:
+            values, weights = part.line_distribution(psi)
+            keep = weights > 0.0
+            laws.append((values[keep], _cumulative(weights)[keep]))
+        edges = np.unique(np.concatenate([cumulative for _, cumulative in laws]))
+        total, *rest = [values[_piece_index(cumulative, edges)] for values, cumulative in laws]
+        for piece in rest:
+            total += piece
+        return total, np.diff(np.concatenate(([0.0], edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +310,12 @@ def line_integral_exact(f: HiddenObservable, b, psi: StateVector) -> float:
     return float(np.dot(line_weights(f.decomposition, psi), function_values(b, f.values)))
 
 
-def line_mean(h: HiddenFunction, psi: StateVector, transform=None) -> float:
-    """Exact mean over one line of any step-profiled hidden function."""
-    return h.line_steps(psi).integral(transform)
+def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector, transform=None) -> float:
+    """Exact mean over one line of a hidden function: its per-line law summed."""
+    values, weights = h.line_distribution(psi)
+    if transform is not None:
+        values = np.asarray(transform(values), dtype=float)
+    return float(np.dot(weights, values))
 
 
 @dataclass(frozen=True)
@@ -416,7 +381,7 @@ def _mixed_state(dim: int, j: int, k: int, phase: complex) -> StateVector:
 
 
 def orthodoxy_reconstruct(
-    h: HiddenFunction,
+    h: HiddenObservable | SharedParameterSum,
     *,
     validation_rays: int = 32,
     tol: float = 1e-8,
@@ -455,7 +420,7 @@ def orthodoxy_reconstruct(
 
 
 def orthodoxy_second_moment_gap(
-    h: HiddenFunction, T_candidate: HermitianOperator, psi: StateVector
+    h: HiddenObservable | SharedParameterSum, T_candidate: HermitianOperator, psi: StateVector
 ) -> float:
     """|integral of h^2 over the line - <T_candidate^2>_psi|, both exact."""
     second = line_mean(h, psi, transform=lambda v: v * v)

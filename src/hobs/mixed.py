@@ -282,5 +282,4 @@ def dump_samples_csv(
     computed = _map_blocks(lambda block: _block_values(f, mu, stream, *block), stream, n, workers)
     out.write("component_index,u,value\n")
     for k, u, values in computed:
-        for ki, ui, vi in zip(k, u, values):
-            out.write(f"{ki},{ui:.17g},{vi:.17g}\n")
+        out.write("".join("%d,%.17g,%.17g\n" % row for row in zip(k.tolist(), u.tolist(), values.tolist())))

@@ -206,6 +206,12 @@ class TestSupport:
         result = runner.invoke(cli, ["support", files["pauli_x"], "--samples", "1000", "--rays", "5", "--gamma", "arg"])
         assert result.exit_code == 0
 
+    def test_inputs_digest_unchanged(self, runner, files):
+        result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10", "--gamma", "arg"])
+        assert report_of(result)["inputs_digest"] == (
+            "4c7e0802bf1b25f3a319a2afdd786efa456e8e737048dec4ec2ae68c6419928a"
+        )
+
 
 class TestContext:
     def test_diagonal_pair_passes(self, runner, files):
@@ -227,6 +233,12 @@ class TestContext:
         square = write_matrix(tmp_path / "x_squared.json", PAULI_X @ PAULI_X)
         result = runner.invoke(cli, ["context", files["pauli_x"], square])
         assert result.exit_code == 0
+
+    def test_inputs_digest_unchanged(self, runner, files):
+        result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], "--trials", "3"])
+        assert report_of(result)["inputs_digest"] == (
+            "be16f7c2b7186254aeafbfb082c237140b9109b3a5af6a24a9e7b1a2d0268cb7"
+        )
 
 
 class TestNogo:
@@ -250,6 +262,12 @@ class TestNogo:
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])
         assert result.exit_code == 0
         assert report_of(result)["results"]["branch"] == "commuting"
+
+    def test_inputs_digest_unchanged(self, runner, files):
+        result = runner.invoke(cli, ["nogo", files["pauli_z"], files["pauli_x"], "--search", "16", "--seed", "5"])
+        assert report_of(result)["inputs_digest"] == (
+            "f42e0364a5545b6f8e1ee3b65c61fd7a5633e7bd28c074a31c7cc23fe0b2d9c2"
+        )
 
 
 class TestSample:
@@ -462,6 +480,16 @@ class TestConfigValidation:
         result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--tol", bad])
         assert result.exit_code == 2, result.output
         assert "--tol" in result.output
+
+    @pytest.mark.parametrize("bad", ["-3", "0"])
+    @pytest.mark.parametrize(
+        "args",
+        [["context", "{diag12}", "{diag55}", "--trials"], ["nogo", "{pauli_x}", "{pauli_z}", "--search"]],
+    )
+    def test_trials_and_search_below_one_rejected(self, runner, files, args, bad):
+        result = runner.invoke(cli, [arg.format(**files) for arg in args] + [bad])
+        assert result.exit_code == 2, result.output
+        assert args[-1] in result.output
 
     def test_samples_below_two_rejected_for_mc(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "1"])

@@ -22,7 +22,6 @@ from hobs import (
     GammaModel,
     HiddenObservable,
     HiddenPoint,
-    LineSteps,
     NonQuadraticFirstMoment,
     NotAProjector,
     SharedParameterSum,
@@ -52,7 +51,7 @@ from hobs import (
     statistical_equivalence_check,
     validate_hermitian,
 )
-from hobs.kernel import _bulk_line_weights, u_from_words
+from hobs.kernel import _bulk_line_weights, _cumulative, _piece_index, u_from_words
 
 UNIFORM = GammaModel.uniform()
 ARG = GammaModel.complex_arg()
@@ -78,13 +77,13 @@ class SharedParameterProduct:
             out *= p.evaluate(point)
         return out
 
-    def line_steps(self, psi):
-        profiles = [p.line_steps(psi) for p in self.parts]
-        right = np.unique(np.concatenate([s.right_edges for s in profiles]))
-        values = profiles[0].value_at(right).astype(float).copy()
-        for s in profiles[1:]:
-            values = values * s.value_at(right)
-        return LineSteps(edges=np.concatenate(([0.0], right)), values=values)
+    def line_distribution(self, psi):
+        laws = [(v[w > 0.0], _cumulative(w)[w > 0.0]) for v, w in (p.line_distribution(psi) for p in self.parts)]
+        edges = np.unique(np.concatenate([c for _, c in laws]))
+        values = np.ones(len(edges))
+        for v, c in laws:
+            values = values * v[_piece_index(c, edges)]
+        return values, np.diff(np.concatenate(([0.0], edges)))
 
 
 class TestGammaModel:
@@ -238,13 +237,13 @@ class TestHiddenObservable:
                 b = evaluate(f, HiddenPoint(ray=state(*(z * v)), u=float(u)))
                 assert a == b
 
-    def test_line_steps_partition_unit_interval(self):
+    def test_line_distribution_partitions_unit_interval(self):
         rng = np.random.default_rng(31)
         f = build_hidden_observable(random_hermitian(rng, 6), UNIFORM)
-        steps = f.line_steps(state(*random_unit(rng, 6)))
-        assert steps.edges[0] == 0.0 and steps.edges[-1] == 1.0
-        assert np.all(np.diff(steps.edges) > 0)
-        assert np.sum(np.diff(steps.edges)) == pytest.approx(1.0, abs=1e-12)
+        values, weights = f.line_distribution(state(*random_unit(rng, 6)))
+        assert np.array_equal(values, f.values)
+        assert np.all(weights >= 0.0)
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLineIntegral:

@@ -340,6 +340,20 @@ class TestCsvDump:
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_rows_match_per_row_formatting(self):
+        # one full d=8 block, against the row-at-a-time f-string formatting
+        rng = np.random.default_rng(65)
+        f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
+        mu = mixed(random_density(rng, 8))
+        n = 65536
+        k, u, values = _block_values(f, mu, SampleStream(seed=7), 0, n)
+        expected = "component_index,u,value\n" + "".join(
+            f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, values)
+        )
+        buf = io.StringIO()
+        dump_samples_csv(f, mu, SampleStream(seed=7), n, buf)
+        assert buf.getvalue().encode() == expected.encode()
+
     def test_seventeen_significant_digits(self):
         f, mu = self.make()
         buf = io.StringIO()
