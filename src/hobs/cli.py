@@ -30,6 +30,7 @@ from .errors import (
     EigensolverFailure,
     EvaluationError,
     HobsError,
+    NonFiniteInput,
     NonQuadraticFirstMoment,
     NotCommuting,
 )
@@ -168,6 +169,8 @@ def _numeric_guard(fn):
         return fn()
     except EvaluationError as exc:
         raise _InputError(f"bad expression: {exc}") from exc
+    except NonFiniteInput as exc:
+        raise _InputError(str(exc)) from exc
     except (EigensolverFailure, DegeneracyResolutionFailure, NonQuadraticFirstMoment, np.linalg.LinAlgError) as exc:
         click.echo(f"internal numeric failure: {exc}", err=True)
         sys.exit(3)
@@ -249,7 +252,9 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
         estimate = mc_estimate(f, b, mu, SampleStream(seed=seed), samples, workers=workers)
         exact_gap = abs(trace_value - exact)
         mc_gap = abs(estimate.mean - trace_value)
-        if estimate.std_error > 0.0:
+        if not (math.isfinite(estimate.mean) and math.isfinite(estimate.std_error)):
+            z = math.nan  # a non-finite statistic gives no verdict, so it fails
+        elif estimate.std_error > 0.0:
             z = mc_gap / estimate.std_error
         else:
             z = 0.0 if mc_gap <= tolerance else math.inf

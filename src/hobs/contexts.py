@@ -26,6 +26,7 @@ from .errors import (
     DegeneracyResolutionFailure,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteInput,
     NotAProjector,
     NotCommuting,
     NotOrthogonalFamily,
@@ -56,6 +57,7 @@ from .spectral import (
 
 JOINT_DIAG_TOL = 1e-8
 OPERATOR_SIDE_TOL = 1e-8
+WITNESS_BLOCK = 512  # random witness rays scored per call; bounds the block's memory
 
 SHARED_U_CAVEAT = (
     "the hidden parameter u is shared by all observables evaluated in one "
@@ -271,35 +273,33 @@ class NogoReport:
         return self.branch == "witness"
 
 
-def _ray_from_chart(v: np.ndarray) -> StateVector:
-    dim = v.size // 2
-    return StateVector(components=v[:dim] + 1.0j * v[dim:])
-
-
 def _compass_polish(objective, v0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
     """Deterministic pattern search maximizing a piecewise-smooth objective.
 
-    Shrinking +-delta coordinate moves; converges onto ridge maxima the
-    random stage can only approach, which is what the exact-gap bound
-    needs.
+    Shrinking +-delta coordinate moves, tried in order: the first that
+    improves is taken, and the later ones are tried again from there.
+    `objective` scores matrix rows, one call for the moves left in a sweep;
+    `budget` counts moves as a one-at-a-time search scores them.  Converges
+    onto ridge maxima the random stage can only approach, as the exact-gap bound needs.
     """
     best_v = v0.copy()
-    best = objective(best_v)
+    best = objective(best_v[None, :])[0]
+    steps = np.repeat(np.eye(v0.size), 2, axis=0) * np.tile([1.0, -1.0], v0.size)[:, None]
     evals = 0
     delta = 0.25
     while delta > 1e-12 and evals < budget:
         while evals < budget:
-            improved = False
-            for i in range(best_v.size):
-                for sign in (1.0, -1.0):
-                    cand = best_v.copy()
-                    cand[i] += sign * delta
-                    if not np.any(cand):
-                        continue
-                    val = objective(cand)
-                    evals += 1
-                    if val > best:
-                        best, best_v, improved = val, cand, True
+            improved, start = False, 0
+            while start < len(steps):
+                cands = best_v + delta * steps[start:]
+                moves = np.flatnonzero(np.any(cands, axis=1))  # zero candidates are skipped
+                values = objective(cands[moves])
+                better = np.flatnonzero(values > best)
+                evals += better[0] + 1 if better.size else moves.size
+                if better.size == 0:
+                    break
+                best, best_v, improved = values[better[0]], cands[moves[better[0]]], True
+                start += moves[better[0]] + 1
             if not improved:
                 break
         delta *= 0.5
@@ -346,20 +346,27 @@ def nogo_witness(
     candidate = orthodoxy_reconstruct(h, rng=rng)
     reconstruction_error = float(np.linalg.norm(candidate.entries - (A.entries + B.entries)))
 
-    best_ray: np.ndarray | None = None
-    best_gap = -1.0
-    for _ in range(max(1, search)):
-        psi = random_ray(rng, A.dim)
-        gap = orthodoxy_second_moment_gap(h, candidate, psi)
-        if gap > best_gap:
-            best_gap, best_ray = gap, psi.components
+    def objective(rays: np.ndarray) -> np.ndarray:  # a gap that overflows is never picked
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = orthodoxy_second_moment_gap(h, candidate, rays)
+        return np.where(np.isfinite(gaps), gaps, -np.inf)
 
-    def objective(v: np.ndarray) -> float:
-        return orthodoxy_second_moment_gap(h, candidate, _ray_from_chart(v))
+    # blocks of the stream of `search` random_ray draws; the first largest gap wins
+    best_ray, best_gap = None, -np.inf
+    search = max(1, search)
+    for start in range(0, search, WITNESS_BLOCK):
+        draws = rng.normal(size=(min(WITNESS_BLOCK, search - start), 2, A.dim))
+        rays = draws[:, 0] + 1j * draws[:, 1]
+        gaps = objective(rays)
+        k = int(np.argmax(gaps))
+        if gaps[k] > best_gap:
+            best_gap, best_ray = gaps[k], rays[k] / np.linalg.norm(rays[k])
+    if best_ray is None:
+        raise NonFiniteInput("the second-moment gap of this pair is not representable in double precision")
 
     chart = np.concatenate([best_ray.real, best_ray.imag])
-    chart, best_gap = _compass_polish(objective, chart, polish_budget)
-    witness = _ray_from_chart(chart).normalized()
+    chart, best_gap = _compass_polish(lambda c: objective(c[:, : A.dim] + 1.0j * c[:, A.dim :]), chart, polish_budget)
+    witness = StateVector(components=chart[: A.dim] + 1.0j * chart[A.dim :]).normalized()
 
     branch = "witness" if best_gap > threshold else "inconclusive"
     return NogoReport(

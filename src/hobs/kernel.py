@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -175,8 +176,8 @@ def _piece_index(cumulative: np.ndarray, u) -> np.ndarray:
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     # clip before pinning the top so the array stays sorted even when
     # rounding pushes a partial sum a few ulp past 1
-    c = np.minimum(np.cumsum(weights), 1.0)
-    c[-1] = 1.0
+    c = np.minimum(np.cumsum(weights, axis=-1), 1.0)
+    c[..., -1] = 1.0
     return c
 
 
@@ -420,12 +421,29 @@ def orthodoxy_reconstruct(
 
 
 def orthodoxy_second_moment_gap(
-    h: HiddenObservable | SharedParameterSum, T_candidate: HermitianOperator, psi: StateVector
-) -> float:
-    """|integral of h^2 over the line - <T_candidate^2>_psi|, both exact."""
-    second = line_mean(h, psi, transform=lambda v: v * v)
-    squared = HermitianOperator(entries=T_candidate.entries @ T_candidate.entries)
-    return abs(second - expectation(squared, psi))
+    h: HiddenObservable | SharedParameterSum, T_candidate: HermitianOperator, rays
+) -> float | np.ndarray:
+    """|integral of h^2 over the line - <T_candidate^2>_psi|, both exact.
+
+    A float for a StateVector, n gaps for an (n, d) array of nonzero rows.
+    """
+    psi = np.atleast_2d(getattr(rays, "components", rays))
+    if psi.shape[-1] != h.dim:
+        raise DimensionMismatch(f"dimension mismatch: {h.dim} vs {psi.shape[-1]}")
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    laws = [(p.values, _bulk_line_weights(p.decomposition, psi)) for p in getattr(h, "parts", (h,))]
+    second = sum(w @ (v * v) for v, w in laws)
+    for (f, wf), (g, wg) in combinations(laws, 2):
+        # comonotone parts (shared u): on each merged-edge interval, a part's piece is its edge count before it
+        edges = np.concatenate((_cumulative(wf), _cumulative(wg)), axis=-1)
+        order = np.argsort(edges, axis=-1, kind="stable")
+        cross = np.diff(np.take_along_axis(edges, order, axis=-1), axis=-1, prepend=0.0)  # widths
+        for values, mine in ((f, order < f.size), (g, order >= f.size)):
+            cross = cross * values[np.minimum(np.cumsum(mine, axis=-1) - mine, values.size - 1)]
+        second = second + 2.0 * np.sum(cross, axis=-1)
+    applied = psi @ T_candidate.entries.T  # <C^2> = ||C psi||^2 for Hermitian C
+    gaps = np.abs(second - np.sum(applied.real**2 + applied.imag**2, axis=-1))
+    return float(gaps[0]) if isinstance(rays, StateVector) else gaps
 
 
 # ---------------------------------------------------------------------------

@@ -251,11 +251,12 @@ def mc_estimate(
         x = np.asarray(b(values), dtype=float)
         if x.shape != values.shape:  # constant callables may collapse the shape
             x = np.broadcast_to(x, values.shape)
-        # shifting by the first value keeps a constant block's M2 exactly 0
-        shifted = x - x[0]
-        shifted_mean = np.mean(shifted)
-        centred = shifted - shifted_mean
-        return count, float(x[0] + shifted_mean), float(np.sum(centred * centred))
+        # shifting by the first value keeps a constant block's M2 exactly 0; overflow leaves it non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = x - x[0]
+            shifted_mean = np.mean(shifted)
+            centred = shifted - shifted_mean
+            return count, float(x[0] + shifted_mean), float(np.sum(centred * centred))
 
     _, mean, m2 = functools.reduce(_merge_moments, _map_blocks(block_moments, stream, n, workers))
     variance = m2 / (n - 1)

@@ -150,6 +150,11 @@ def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > gap_tol) + 1))
 
 
+def _binary_scale(m: np.ndarray) -> float:
+    # 2^-k taking m's largest real or imaginary part into [1/2, 1): norm tests on copies scaled by it cannot overflow
+    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(m.view(float))))[1]))
+
+
 def validate_hermitian(raw) -> HermitianOperator:
     """Accept a square matrix as Hermitian, symmetrizing rounding residue.
 
@@ -159,8 +164,9 @@ def validate_hermitian(raw) -> HermitianOperator:
     """
     m = _as_complex_matrix(raw)
     skew = (m - m.conj().T) / 2.0
-    correction = float(np.linalg.norm(skew))
-    if correction > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m))):
+    scale = _binary_scale(m)
+    correction = float(np.linalg.norm(scale * skew)) / scale
+    if correction * scale > HERMITICITY_RTOL * max(scale, float(np.linalg.norm(scale * m))):
         raise HermiticityViolation(
             f"matrix is not Hermitian within tolerance (skew Frobenius norm {correction:.3e})"
         )
@@ -250,10 +256,8 @@ def commutator_norm(A: HermitianOperator, B: HermitianOperator) -> float:
 
 
 def commutes(A: HermitianOperator, B: HermitianOperator) -> bool:
-    """Commutation test at the relative threshold used across the package."""
-    threshold = (
-        COMMUTATOR_RTOL
-        * max(1.0, float(np.linalg.norm(A.entries)))
-        * max(1.0, float(np.linalg.norm(B.entries)))
-    )
-    return commutator_norm(A, B) <= threshold
+    """||[A,B]|| <= rtol * max(1, ||A||) * max(1, ||B||), tested on binary-scaled copies."""
+    sa, sb = _binary_scale(A.entries), _binary_scale(B.entries)
+    a, b = HermitianOperator(entries=sa * A.entries), HermitianOperator(entries=sb * B.entries)
+    threshold = COMMUTATOR_RTOL * max(sa, float(np.linalg.norm(a.entries))) * max(sb, float(np.linalg.norm(b.entries)))
+    return commutator_norm(a, b) <= threshold

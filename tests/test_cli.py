@@ -142,6 +142,15 @@ class TestVerifyTrace:
         assert results["mc_std_error"] == pytest.approx(math.sqrt(1.25 / 1e6), rel=1e-2)
         assert results["mc_z_score"] <= 4.0
 
+    def test_non_finite_std_error_fails(self, runner, tmp_path, files):
+        t = write_matrix(tmp_path / "T.json", np.diag([1e300, -1e300]))
+        result = runner.invoke(cli, ["verify-trace", t, files["mixed"], "x", "--samples", "1000"])
+        assert result.exit_code == 1, result.output
+        report = strict_report(result.output)
+        assert report["pass"] is False
+        assert report["results"]["mc_std_error"] is None
+        assert "results.mc_std_error" in report["caveats"][-1]
+
     def test_expression_overflowing_on_spectrum_is_input_error(self, runner, tmp_path):
         t = write_matrix(tmp_path / "T.json", np.diag(1e8 + np.arange(4.0)))
         d = write_matrix(tmp_path / "D.json", np.eye(4) / 4)
@@ -229,6 +238,12 @@ class TestContext:
         assert report["pass"] is False
         assert report["results"]["branch"] == "not-commuting"
 
+    def test_huge_entries_do_not_commute(self, runner, files, tmp_path):
+        huge = write_matrix(tmp_path / "huge.json", np.diag([1e160, -1e160]))
+        result = runner.invoke(cli, ["context", huge, files["pauli_x"]])
+        assert result.exit_code == 1, result.output
+        assert report_of(result)["results"]["branch"] == "not-commuting"
+
     def test_operator_with_own_square(self, runner, files, tmp_path):
         square = write_matrix(tmp_path / "x_squared.json", PAULI_X @ PAULI_X)
         result = runner.invoke(cli, ["context", files["pauli_x"], square])
@@ -257,6 +272,14 @@ class TestNogo:
         assert report["results"]["gap"] >= 2.0 - 1e-6
         assert any("shared" in c for c in report["caveats"])
         assert len(report["results"]["witness_ray"]) == 2
+
+    def test_unrepresentable_gap_is_input_error(self, runner, files, tmp_path):
+        huge = write_matrix(tmp_path / "huge.json", np.diag([1e160, -1e160]))
+        result = runner.invoke(cli, ["nogo", huge, files["pauli_x"], "--search", "16"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            "Error: the second-moment gap of this pair is not representable in double precision"
+        ]
 
     def test_same_file_commutes(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])

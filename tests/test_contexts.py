@@ -291,6 +291,93 @@ class TestNogoWitness:
                 assert report.branch == "witness"
                 assert report.gap > report.gap_threshold
 
+    @pytest.mark.parametrize("search", [1, 700, 1024])
+    def test_rng_state_matches_sequential_random_rays(self, search):
+        # orthodoxy_reconstruct draws its 32 validation rays first
+        rng = np.random.default_rng(31)
+        A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        after = np.random.default_rng(5)
+        nogo_witness(A, B, UNIFORM, search=search, rng=after, polish_budget=10)
+        expected = np.random.default_rng(5)
+        for _ in range(32 + search):
+            random_ray(expected, 3)
+        assert after.bit_generator.state == expected.bit_generator.state
+
+
+def _sequential_compass(objective, v0, budget):
+    """One move scored at a time: the reference the batched polish must reproduce.
+
+    Also returns the accepted moves and, per sweep, the evaluation count
+    and the point reached when it ends.
+    """
+    best_v, best = v0.copy(), objective(v0[None, :])[0]
+    accepted, sweeps, evals, delta = [], [], 0, 0.25
+    while delta > 1e-12 and evals < budget:
+        while evals < budget:
+            improved = False
+            for i in range(best_v.size):
+                for sign in (1.0, -1.0):
+                    cand = best_v.copy()
+                    cand[i] += sign * delta
+                    if not np.any(cand):
+                        continue
+                    val = objective(cand[None, :])[0]
+                    evals += 1
+                    if val > best:
+                        best, best_v, improved = val, cand, True
+                        accepted.append(cand)
+            sweeps.append((evals, best_v, best))
+            if not improved:
+                break
+        delta *= 0.5
+    return best_v, best, accepted, sweeps
+
+
+class TestCompassPolish:
+    @staticmethod
+    def objective(rows):
+        # piecewise smooth with a ridge and a kink, maximum away from the start
+        target = np.array([0.3, -1.1, 0.7, 0.0])
+        return -np.abs(rows - target).sum(axis=1) - 0.5 * np.abs(rows[:, 0] + rows[:, 1] + 0.2) + 0.1 * rows[:, 2]
+
+    def test_matches_the_sequential_search(self):
+        from hobs.contexts import _compass_polish
+
+        # the start sits one step from the origin, so a zero candidate is skipped
+        v0 = np.array([0.25, 0.0, 0.0, 0.0])
+        best_v, best, accepted, sweeps = _sequential_compass(self.objective, v0, 20000)
+        assert sweeps[-1][0] < 20000 and len(accepted) > 10
+        v, value = _compass_polish(self.objective, v0, 20000)
+        assert np.array_equal(v, best_v) and value == best
+        # the budget is checked between sweeps: a budget of n evaluations stops
+        # at the end of the first sweep that brings the count to n or more
+        for k, (evals, point, point_value) in enumerate(sweeps):
+            for budget in (evals, evals + 1):
+                expected = sweeps[k if budget == evals else min(k + 1, len(sweeps) - 1)]
+                v, value = _compass_polish(self.objective, v0, budget)
+                assert np.array_equal(v, expected[1]) and value == expected[2], budget
+
+    def test_accepts_the_same_moves_a_sweep_per_call(self):
+        from hobs.contexts import _compass_polish
+
+        calls, improvers = [], []
+
+        def recorded(rows):
+            values = self.objective(rows)
+            better = np.flatnonzero(values > (improvers[-1][1] if improvers else -np.inf))
+            if better.size:  # the first row beating the best so far is the move taken
+                improvers.append((rows[better[0]], values[better[0]]))
+            calls.append(len(rows))
+            return values
+
+        v0 = np.array([0.25, 0.0, 0.0, 0.0])
+        _, _, accepted, sweeps = _sequential_compass(self.objective, v0, 20000)
+        _compass_polish(recorded, v0, 20000)
+        assert len(improvers) == 1 + len(accepted)
+        assert all(np.array_equal(row, move) for (row, _), move in zip(improvers[1:], accepted))
+        assert len(calls) <= 1 + len(accepted) + len(sweeps) < sweeps[-1][0]
+        assert max(calls) == 2 * v0.size
+
 
 class TestPartitionContext:
     def test_single_full_projector(self):

@@ -405,6 +405,63 @@ class TestOrthodoxy:
         )
 
 
+def _degenerate_hermitian(rng, dim, diagonal):
+    """Integer spectrum in [-2, 2], so eigenvalues repeat and merge; diagonal ones
+    give basis-state rays zero-weight pieces."""
+    spectrum = rng.integers(-2, 3, size=dim).astype(float)
+    if diagonal:
+        return op(np.diag(spectrum))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return op((q * spectrum) @ q.conj().T)
+
+
+class TestBatchedSecondMomentGap:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n_parts=st.integers(1, 3),
+        diagonal=st.lists(st.booleans(), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_pointwise_law(self, dim, n_parts, diagonal, seed):
+        rng = np.random.default_rng(seed)
+        operators = [_degenerate_hermitian(rng, dim, diagonal[i]) for i in range(n_parts)]
+        parts = tuple(build_hidden_observable(T, UNIFORM) for T in operators)
+        h = SharedParameterSum(parts=parts) if n_parts > 1 else parts[0]
+        C = validate_hermitian(sum(T.entries for T in operators))
+        rays = np.concatenate([
+            np.eye(dim, dtype=complex),
+            rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim)),
+            3.0 * np.eye(dim, dtype=complex)[:1] + np.eye(dim, dtype=complex)[-1:],
+        ])
+        gaps = orthodoxy_second_moment_gap(h, C, rays)
+        tol = 1e-12 * max(1.0, np.linalg.norm(C.entries, 2) ** 2)
+        assert gaps.shape == (len(rays),)
+        for row, gap in zip(rays, gaps):
+            psi = StateVector(components=row)
+            squared = validate_hermitian(C.entries @ C.entries)
+            pointwise = abs(line_mean(h, psi, transform=lambda v: v * v) - expectation(squared, psi))
+            assert gap == pytest.approx(pointwise, abs=tol)
+            scalar = orthodoxy_second_moment_gap(h, C, psi)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(gap, abs=tol)
+
+    def test_ray_dimension_must_match(self):
+        f = build_hidden_observable(op(PAULI_Z), UNIFORM)
+        with pytest.raises(DimensionMismatch):
+            orthodoxy_second_moment_gap(f, op(PAULI_Z), np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            orthodoxy_second_moment_gap(f, op(PAULI_Z), state(1, 0, 0))
+
+    def test_three_parts_against_the_riemann_oracle(self):
+        parts = tuple(build_hidden_observable(op(P), UNIFORM) for P in (PAULI_Z, PAULI_X, PAULI_Z + PAULI_X))
+        h = SharedParameterSum(parts=parts)
+        psi = random_ray(np.random.default_rng(12), 2)
+        zero = validate_hermitian(np.zeros((2, 2)))
+        oracle = riemann_line_mean(h, psi, n=4001, transform=lambda v: v * v)
+        assert orthodoxy_second_moment_gap(h, zero, psi) == pytest.approx(oracle, abs=5e-2)
+
+
 class TestPropositions:
     def test_full_space(self):
         L = proposition_from_projector(np.eye(2), UNIFORM)

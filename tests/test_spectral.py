@@ -252,6 +252,26 @@ class TestCommutator:
         assert value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
         assert not commutes(op(PAULI_X), op(PAULI_Z))
 
+    def test_huge_entries_do_not_overflow_into_commuting(self):
+        # the Frobenius norms overflow unscaled, and inf <= inf would pass
+        assert not commutes(op(np.diag([1e160, -1e160])), op(PAULI_X))
+        assert commutes(op(np.diag([1e160, -1e160])), op(np.diag([1e160, 3.0])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        scale_exponents=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        perturbation=st.floats(-14.0, -6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decision_equals_the_unscaled_inequality(self, dim, scale_exponents, perturbation, seed):
+        rng = np.random.default_rng(seed)
+        A = random_hermitian(rng, dim, scale=10.0 ** scale_exponents[0])
+        nudge = random_hermitian(rng, dim, scale=10.0**perturbation).entries
+        B = op(10.0 ** scale_exponents[1] * (A.entries @ A.entries + nudge))
+        threshold = 1e-10 * max(1.0, np.linalg.norm(A.entries)) * max(1.0, np.linalg.norm(B.entries))
+        assert commutes(A, B) == (commutator_norm(A, B) <= threshold)
+
 
 class TestDensityAndStateValidation:
     def test_trace_must_be_one(self):
