@@ -50,6 +50,7 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _binary_scale,
     _cluster_offsets,
     commutes,
     validate_hermitian,
@@ -89,6 +90,12 @@ class Context:
     @property
     def n_labels(self) -> int:
         return len(self.decomposition.eigenvalues)
+
+
+def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
+    """||rebuilt - op||_F / max(1, ||op||_F), from copies binary-scaled so that neither norm overflows."""
+    s = _binary_scale(op)
+    return float(np.linalg.norm(s * (rebuilt - op))) / max(s, float(np.linalg.norm(s * op)))
 
 
 def joint_diagonalize(
@@ -139,8 +146,7 @@ def joint_diagonalize(
             diag = np.diag(v.conj().T @ op.entries @ v).real
             table = np.add.reduceat(diag, offsets) / sizes
             rebuilt = decomposition.operator_with_values(table)
-            err = float(np.linalg.norm(rebuilt - op.entries))
-            worst = max(worst, err / max(1.0, float(np.linalg.norm(op.entries))))
+            worst = max(worst, _relative_error(rebuilt, op.entries))
             transfers.append(table)
         if worst > JOINT_DIAG_TOL:
             last_error = worst
@@ -241,8 +247,7 @@ def homomorphism_check(
 
         for fn, op in ((fn_sum, op_sum), (fn_prod, op_prod)):
             rebuilt = orthodoxy_reconstruct(fn, rng=rng)
-            err = float(np.linalg.norm(rebuilt.entries - op.entries))
-            max_op = max(max_op, err / max(1.0, float(np.linalg.norm(op.entries))))
+            max_op = max(max_op, _relative_error(rebuilt.entries, op.entries))
     passed = max_add == 0.0 and max_mul == 0.0 and max_op <= operator_tol
     return HomomorphismReport(
         trials=trials,

@@ -167,10 +167,33 @@ def _bulk_line_weights(S: SpectralDecomposition, rays: np.ndarray) -> np.ndarray
     return np.add.reduceat(amplitudes.real**2 + amplitudes.imag**2, S.offsets, axis=-1)
 
 
-def _piece_index(cumulative: np.ndarray, u) -> np.ndarray:
-    """First index with cumulative weight >= u (the quasi-inverse tie rule)."""
-    idx = np.searchsorted(cumulative, u, side="left")
-    return np.minimum(idx, len(cumulative) - 1)
+def _row_search(edges: np.ndarray, x, rows=None, right: bool = False) -> np.ndarray:
+    """min(searchsorted(edges[rows[i]], x[i], side), m - 1) per point, by one branchless binary search.
+
+    `edges` is (K, m) with nondecreasing rows, or 1-D for one row.  The clipped
+    count over m edges is the count over the first m - 1, so only those are
+    searched, padded with +inf to a power-of-two width.  Each pass steps past the
+    edge it lands on when that edge is < x (<= x when `right`): the same count,
+    ties included, as searchsorted.  x is never NaN here: u_from_words maps into
+    (0, 1) and HiddenPoint validates its u.
+    """
+    inner = np.atleast_2d(edges)[:, :-1]
+    width = 1 << inner.shape[1].bit_length()
+    flat = np.full(inner.shape[0] * width, np.inf)
+    flat.reshape(-1, width)[:, : inner.shape[1]] = inner
+    base = -1 if rows is None else np.asarray(rows) * width - 1
+    before = np.less_equal if right else np.less
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    step = width >> 1
+    while step:
+        idx += step * before(flat[base + idx + step], x)
+        step >>= 1
+    return idx[()]
+
+
+def _piece_index(cumulative: np.ndarray, u, rows=None) -> np.ndarray:
+    """First index with cumulative weight >= u (the quasi-inverse tie rule), in row rows[i] of a stack."""
+    return _row_search(cumulative, u, rows)
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
@@ -181,9 +204,9 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return c
 
 
-def _quantile_values(values: np.ndarray, weights: np.ndarray, u) -> np.ndarray:
-    """values at the pieces of u on a line whose spectral weights are `weights`."""
-    return values[_piece_index(_cumulative(weights), u)]
+def _quantile_values(values: np.ndarray, weights: np.ndarray, u, rows=None) -> np.ndarray:
+    """values at the pieces of u on a line whose spectral weights are `weights` (row rows[i] of a stack)."""
+    return values[_piece_index(_cumulative(weights), u, rows)]
 
 
 def cdf(S: SpectralDecomposition, psi: StateVector, r: float) -> float:

@@ -31,6 +31,7 @@ from .kernel import (
     HiddenPoint,
     _bulk_line_weights,
     _quantile_values,
+    _row_search,
     proposition_measure_on_line,
     u_from_words,
 )
@@ -167,8 +168,7 @@ def _draw_block(mu: HiddenMixedState, stream: SampleStream, start: int, count: i
     """Component indices and hidden parameters for one sample range."""
     words = stream.raw_words(start, count)
     cum = np.minimum(np.cumsum(mu.ensemble.weights), 1.0)
-    k = np.searchsorted(cum, words[:, 0], side="right")
-    k = np.minimum(k, mu.ensemble.size - 1)
+    k = _row_search(cum, words[:, 0], right=True)
     u = u_from_words(mu.gamma, words[:, 1], words[:, 2])
     return k, u
 
@@ -179,12 +179,7 @@ def _block_values(
     """Component indices, hidden parameters and values of f for one sample range."""
     k, u = _draw_block(mu, stream, start, count)
     weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
-    values = np.empty(count, dtype=float)
-    for comp in range(mu.ensemble.size):
-        mask = k == comp
-        if np.any(mask):
-            values[mask] = _quantile_values(f.values, weights[comp], u[mask])
-    return k, u, values
+    return k, u, _quantile_values(f.values, weights, u, k)
 
 
 def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[HiddenPoint]:

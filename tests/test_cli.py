@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,14 @@ class TestContext:
         assert result.exit_code == 1, result.output
         assert report_of(result)["results"]["branch"] == "not-commuting"
 
+    def test_huge_commuting_pair_checks_reconstruction_without_overflow(self, runner, files, tmp_path):
+        huge = write_matrix(tmp_path / "huge.json", np.diag([1e160, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["context", huge, files["diag12"], "--trials", "2"])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["max_operator_error"] <= 1e-8
+
     def test_operator_with_own_square(self, runner, files, tmp_path):
         square = write_matrix(tmp_path / "x_squared.json", PAULI_X @ PAULI_X)
         result = runner.invoke(cli, ["context", files["pauli_x"], square])
@@ -280,6 +289,15 @@ class TestNogo:
         assert result.output.splitlines() == [
             "Error: the second-moment gap of this pair is not representable in double precision"
         ]
+
+    def test_huge_commuting_pair_checks_reconstruction_without_overflow(self, runner, tmp_path):
+        a = write_matrix(tmp_path / "a.json", np.diag([1e160, 3.0]))
+        b = write_matrix(tmp_path / "b.json", np.diag([-1e160, 1e150]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["nogo", a, b])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["branch"] == "commuting"
 
     def test_same_file_commutes(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])

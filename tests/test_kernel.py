@@ -51,7 +51,7 @@ from hobs import (
     statistical_equivalence_check,
     validate_hermitian,
 )
-from hobs.kernel import _bulk_line_weights, _cumulative, _piece_index, u_from_words
+from hobs.kernel import _bulk_line_weights, _cumulative, _piece_index, _row_search, u_from_words
 
 UNIFORM = GammaModel.uniform()
 ARG = GammaModel.complex_arg()
@@ -190,6 +190,45 @@ class TestQuantile:
         psi = state(*random_unit(rng, 5))
         lo, hi = sorted((u1, u2))
         assert quantile(S, psi, lo) <= quantile(S, psi, hi)
+
+
+@st.composite
+def edge_rows(draw):
+    """(K, m) cumulative-weight rows with ties and leading and trailing zero-weight pieces, and points to look up."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.choice([0.0, 0.25, 0.5, rng.random()], size=(k, m)) * rng.integers(0, 2, size=(k, m))
+    positive = draw(st.integers(0, m - 1))
+    weights[:, : draw(st.integers(0, positive))] = 0.0
+    weights[:, m - draw(st.integers(0, m - 1 - positive)) :] = 0.0
+    weights[:, positive] += 1.0
+    edges = _cumulative(weights / weights.sum(axis=1, keepdims=True))
+    n = draw(st.integers(1, 40))
+    x = np.where(rng.random(n) < 0.5, rng.choice(edges.ravel(), size=n), rng.random(n))
+    x[rng.random(n) < 0.1] = 0.0
+    return edges, x, rng.integers(0, k, size=n)
+
+
+class TestRowSearch:
+    @given(edge_rows(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_clipped_searchsorted(self, case, right):
+        edges, x, rows = case
+        side = "right" if right else "left"
+        m = edges.shape[1]
+        expected = [min(np.searchsorted(edges[r], xi, side), m - 1) for r, xi in zip(rows, x)]
+        assert np.array_equal(_row_search(edges, x, rows, right), expected)
+        row = edges[rows[0]]  # a single 1-D row, with scalar and 0-d points
+        assert np.array_equal(_row_search(row, x, right=right), np.minimum(np.searchsorted(row, x, side), m - 1))
+        for point in (x[0], np.asarray(x[0])):
+            found = _row_search(row, point, right=right)
+            assert np.ndim(found) == 0 and found == min(np.searchsorted(row, x[0], side), m - 1)
+
+    def test_piece_index_tie_rule_on_a_stack(self):
+        cumulative = np.array([[0.0, 0.5, 0.5, 1.0], [0.25, 0.25, 1.0, 1.0]])
+        u = np.array([0.0, 0.5, 0.5000000000000001, 0.25, 0.3, 1.0])
+        rows = np.array([0, 0, 0, 1, 1, 1])
+        assert _piece_index(cumulative, u, rows).tolist() == [0, 1, 3, 0, 2, 2]
 
 
 class TestHiddenObservable:

@@ -33,7 +33,8 @@ from hobs import (
     sample_hidden,
     trace_expectation,
 )
-from hobs.mixed import _block_values
+from hobs.kernel import _bulk_line_weights, _cumulative
+from hobs.mixed import _block_values, _draw_block
 
 UNIFORM = GammaModel.uniform()
 
@@ -304,6 +305,58 @@ class TestBlockValues:
         for comp, psi in enumerate(mu.ensemble.component_states()):
             mask = k == comp
             assert np.array_equal(values[mask], f.values_on_line(psi, u[mask]))
+
+
+def masked_block_values(f, mu, stream, start, count):
+    """The per-component reference: mask each component's samples and searchsorted its cumulative weights."""
+    k, u = _draw_block(mu, stream, start, count)
+    weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
+    values = np.empty(count, dtype=float)
+    for comp in range(mu.ensemble.size):
+        mask = k == comp
+        if np.any(mask):
+            cumulative = _cumulative(weights[comp])
+            values[mask] = f.values[np.minimum(np.searchsorted(cumulative, u[mask]), cumulative.size - 1)]
+    return values
+
+
+class TestBlockSearch:
+    @pytest.mark.parametrize("case", ["full-rank", "basis-rays", "pure"])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_block_values_equal_masked_loop(self, case, dim):
+        rng = np.random.default_rng(dim)
+        T = random_hermitian(rng, dim)
+        if case == "full-rank":
+            D = random_density(rng, dim)
+        elif case == "basis-rays":  # every line weight is 0 or 1: ties on every edge
+            D = DensityMatrix(entries=np.eye(dim) / dim)
+            T = op(np.diag(np.arange(dim, dtype=float)))
+        else:  # one component
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            D = DensityMatrix(entries=np.outer(v, v.conj()) / np.vdot(v, v).real)
+        f, mu, stream = build_hidden_observable(T, UNIFORM), mixed(D), SampleStream(seed=dim)
+        assert mu.ensemble.size == {"full-rank": dim, "basis-rays": dim, "pure": 1}[case]
+        k, u, values = _block_values(f, mu, stream, 100, 5000)
+        assert np.array_equal(k, _draw_block(mu, stream, 100, 5000)[0])
+        assert np.array_equal(values, masked_block_values(f, mu, stream, 100, 5000))
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.25, 0.5], [0.1, 0.2, 0.3, 0.4], [1.0]])
+    def test_component_draw_is_clipped_right_searchsorted(self, weights):
+        size = len(weights)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(size)), gamma=UNIFORM)
+        cumulative = np.minimum(np.cumsum(mu.ensemble.weights), 1.0)
+        pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
+
+        class PinnedStream(SampleStream):  # the first words of the block sit on the cumulative weights
+            def raw_words(self, start, count):
+                words = super().raw_words(start, count)
+                words[: pinned.size, 0] = pinned
+                return words
+
+        stream = PinnedStream(seed=11)
+        k, _ = _draw_block(mu, stream, 0, 1000)
+        first = stream.raw_words(0, 1000)[:, 0]
+        assert np.array_equal(k, np.minimum(np.searchsorted(cumulative, first, "right"), size - 1))
 
 
 class TestCsvDump:
