@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kernel import (
     PROJECTOR_TOL,
+    WITNESS_BLOCK,
     GammaModel,
     HiddenObservable,
     SharedParameterSum,
@@ -58,7 +59,6 @@ from .spectral import (
 
 JOINT_DIAG_TOL = 1e-8
 OPERATOR_SIDE_TOL = 1e-8
-WITNESS_BLOCK = 512  # random witness rays scored per call; bounds the block's memory
 
 SHARED_U_CAVEAT = (
     "the hidden parameter u is shared by all observables evaluated in one "
@@ -192,13 +192,16 @@ def context_combine(
     if coeffs.shape != (len(ctx.members),):
         raise ValueError(f"need {len(ctx.members)} coefficients, got {coeffs.shape}")
     tables = np.array([m.values for m in ctx.members])
-    table = _combined_table(tables, coeffs, op)
-    if op == "sum":
-        entries = np.tensordot(coeffs, [m.operator.entries for m in ctx.members], axes=1)
-    else:
-        entries = np.eye(ctx.dim, dtype=complex)
-        for c, member in zip(coeffs, ctx.members):
-            entries = entries @ (c * member.operator.entries)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
+        table = _combined_table(tables, coeffs, op)
+        if op == "sum":
+            entries = np.tensordot(coeffs, [m.operator.entries for m in ctx.members], axes=1)
+        else:
+            entries = np.eye(ctx.dim, dtype=complex)
+            for c, member in zip(coeffs, ctx.members):
+                entries = entries @ (c * member.operator.entries)
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(entries))):
+        raise NonFiniteInput(f"the {op} combination of this family is not representable in double precision")
     operator = validate_hermitian(entries)
     return replace(ctx.f0, operator=operator, values=table), operator
 
@@ -272,10 +275,6 @@ class NogoReport:
     reconstruction_error: float
     context: Optional[Context]
     caveats: tuple[str, ...]
-
-    @property
-    def certified(self) -> bool:
-        return self.branch == "witness"
 
 
 def _compass_polish(objective, v0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
@@ -352,25 +351,24 @@ def nogo_witness(
     reconstruction_error = float(np.linalg.norm(candidate.entries - (A.entries + B.entries)))
 
     def objective(rays: np.ndarray) -> np.ndarray:  # a gap that overflows is never picked
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = orthodoxy_second_moment_gap(h, candidate, rays)
+        gaps = orthodoxy_second_moment_gap(h, candidate, rays)
         return np.where(np.isfinite(gaps), gaps, -np.inf)
 
     # blocks of the stream of `search` random_ray draws; the first largest gap wins
     best_ray, best_gap = None, -np.inf
     search = max(1, search)
-    for start in range(0, search, WITNESS_BLOCK):
-        draws = rng.normal(size=(min(WITNESS_BLOCK, search - start), 2, A.dim))
-        rays = draws[:, 0] + 1j * draws[:, 1]
-        gaps = objective(rays)
-        k = int(np.argmax(gaps))
-        if gaps[k] > best_gap:
-            best_gap, best_ray = gaps[k], rays[k] / np.linalg.norm(rays[k])
-    if best_ray is None:
-        raise NonFiniteInput("the second-moment gap of this pair is not representable in double precision")
-
-    chart = np.concatenate([best_ray.real, best_ray.imag])
-    chart, best_gap = _compass_polish(lambda c: objective(c[:, : A.dim] + 1.0j * c[:, A.dim :]), chart, polish_budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, search, WITNESS_BLOCK):
+            draws = rng.normal(size=(min(WITNESS_BLOCK, search - start), 2, A.dim))
+            rays = draws[:, 0] + 1j * draws[:, 1]
+            gaps = objective(rays)
+            k = int(np.argmax(gaps))
+            if gaps[k] > best_gap:
+                best_gap, best_ray = gaps[k], rays[k] / np.linalg.norm(rays[k])
+        if best_ray is None:
+            raise NonFiniteInput("the second-moment gap of this pair is not representable in double precision")
+        chart = np.concatenate([best_ray.real, best_ray.imag])
+        chart, best_gap = _compass_polish(lambda c: objective(c[:, : A.dim] + 1.0j * c[:, A.dim :]), chart, polish_budget)
     witness = StateVector(components=chart[: A.dim] + 1.0j * chart[A.dim :]).normalized()
 
     branch = "witness" if best_gap > threshold else "inconclusive"

@@ -53,11 +53,6 @@ def below(s: float) -> Interval:
     return Interval(upper=s, upper_closed=False)
 
 
-def at_least(s: float) -> Interval:
-    """The half-line [s, +inf)."""
-    return Interval(lower=s)
-
-
 def singleton(a: float) -> Interval:
     """The degenerate interval [a, a]."""
     return Interval(lower=a, upper=a)
@@ -65,10 +60,6 @@ def singleton(a: float) -> Interval:
 
 def closed(a: float, b: float) -> Interval:
     return Interval(lower=a, upper=b)
-
-
-def open_interval(a: float, b: float) -> Interval:
-    return Interval(lower=a, upper=b, lower_closed=False, upper_closed=False)
 
 
 def real_line() -> Interval:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -49,6 +50,7 @@ _TINY_NORMAL = 2.2250738585072014e-308
 
 PROJECTOR_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+WITNESS_BLOCK = 512  # rays weighed per call; bounds a block's memory
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def _piece_index(cumulative: np.ndarray, u, rows=None) -> np.ndarray:
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     # clip before pinning the top so the array stays sorted even when
     # rounding pushes a partial sum a few ulp past 1
-    c = np.minimum(np.cumsum(weights, axis=-1), 1.0)
+    c = np.minimum(weights.cumsum(axis=-1), 1.0)
     c[..., -1] = 1.0
     return c
 
@@ -274,6 +276,10 @@ class HiddenObservable:
         """Vectorized evaluate for many parameters on one line."""
         return _quantile_values(self.values, line_weights(self.decomposition, psi), u)
 
+    def line_means(self, rays: np.ndarray) -> np.ndarray:
+        """Exact per-line means on the unit rows of `rays`."""
+        return _bulk_line_weights(self.decomposition, rays) @ self.values
+
 
 def build_hidden_observable(T: HermitianOperator, gamma: GammaModel) -> HiddenObservable:
     """The observable function of T for the given parameter model."""
@@ -311,18 +317,19 @@ class SharedParameterSum:
     def evaluate(self, point: HiddenPoint) -> float:
         return float(sum(p.evaluate(point) for p in self.parts))
 
-    def line_distribution(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        """Comonotone law of the sum: each part's value on the pieces cut by all positive-weight edges."""
-        laws = []
-        for part in self.parts:
-            values, weights = part.line_distribution(psi)
-            keep = weights > 0.0
-            laws.append((values[keep], _cumulative(weights)[keep]))
-        edges = np.unique(np.concatenate([cumulative for _, cumulative in laws]))
-        total, *rest = [values[_piece_index(cumulative, edges)] for values, cumulative in laws]
-        for piece in rest:
-            total += piece
-        return total, np.diff(np.concatenate(([0.0], edges)))
+    def line_means(self, rays: np.ndarray) -> np.ndarray:
+        """Exact per-line means on unit rows: the sum of the parts' means, whatever couples them."""
+        return sum(p.line_means(rays) for p in self.parts)
+
+    @cached_property
+    def _gap_tables(self):
+        """The gap's constants: per part its eigenvectors, weight columns, values squared and values
+        padded with the last; then the piece offsets of all parts in one row of amplitudes, and where C psi starts."""
+        stops = np.cumsum([p.values.size for p in self.parts])
+        laws = [(p.decomposition.vectors, slice(stop - p.values.size, stop), p.values * p.values,
+                 np.append(p.values, p.values[-1])) for p, stop in zip(self.parts, stops)]
+        columns = np.arange(len(self.parts) + 1) * self.dim
+        return laws, np.concatenate([p.decomposition.offsets + c for p, c in zip(self.parts, columns)] + [columns[-1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +341,9 @@ def line_integral_exact(f: HiddenObservable, b, psi: StateVector) -> float:
     return float(np.dot(line_weights(f.decomposition, psi), function_values(b, f.values)))
 
 
-def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector, transform=None) -> float:
-    """Exact mean over one line of a hidden function: its per-line law summed."""
-    values, weights = h.line_distribution(psi)
-    if transform is not None:
-        values = np.asarray(transform(values), dtype=float)
-    return float(np.dot(weights, values))
+def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector) -> float:
+    """Exact mean over one line of a hidden function."""
+    return float(h.line_means(psi.normalized()[None])[0])
 
 
 @dataclass(frozen=True)
@@ -391,19 +395,6 @@ def moments_check(f: HiddenObservable, psi: StateVector, n_max: int, tol: float)
 # Orthodoxy: recovering the unique operator behind per-line first moments
 
 
-def _basis_state(dim: int, j: int) -> StateVector:
-    v = np.zeros(dim, dtype=complex)
-    v[j] = 1.0
-    return StateVector(components=v)
-
-
-def _mixed_state(dim: int, j: int, k: int, phase: complex) -> StateVector:
-    v = np.zeros(dim, dtype=complex)
-    v[j] = 1.0 / math.sqrt(2.0)
-    v[k] = phase / math.sqrt(2.0)
-    return StateVector(components=v)
-
-
 def orthodoxy_reconstruct(
     h: HiddenObservable | SharedParameterSum,
     *,
@@ -419,28 +410,34 @@ def orthodoxy_reconstruct(
     that candidate at all, which fails exactly when h has no orthodox
     mean values even at first order.
     """
-    dim = h.dim
-    rng = rng if rng is not None else np.random.default_rng(0)
-    T = np.zeros((dim, dim), dtype=complex)
-    diag = np.array([line_mean(h, _basis_state(dim, j)) for j in range(dim)])
-    np.fill_diagonal(T, diag)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            half = (diag[j] + diag[k]) / 2.0
-            re = line_mean(h, _mixed_state(dim, j, k, 1.0)) - half
-            im = half - line_mean(h, _mixed_state(dim, j, k, 1.0j))
-            T[j, k] = re + 1.0j * im
-            T[k, j] = re - 1.0j * im
-    candidate = HermitianOperator(entries=T)
+    dim, rng = h.dim, (rng if rng is not None else np.random.default_rng(0))
+
+    def means(rows, count: int) -> np.ndarray:  # h.line_means of rows(a, b), at most WITNESS_BLOCK rows a call
+        blocks = range(0, count, WITNESS_BLOCK)
+        return np.concatenate([np.zeros(0), *(h.line_means(rows(a, min(a + WITNESS_BLOCK, count))) for a in blocks)])
+
+    # probe q is e_q for q < dim, then e_j + e_k, then e_j + i e_k over the pairs j < k; a pair row has squared
+    # norm 2, so half its line_means is, exactly, the mean on the ray (e_j + e_k)/sqrt2 or (e_j + i e_k)/sqrt2
+    j, k = np.triu_indices(dim, 1)
+    eye, first, second = np.eye(dim), np.r_[0:dim, j, j], np.r_[0:dim, k, k]
+    phase = np.r_[np.zeros(dim), np.ones(j.size), np.full(j.size, 1j)]
+    probes = means(lambda a, b: eye[first[a:b]] + phase[a:b, None] * eye[second[a:b]], dim * dim)
+    diag, real_probe, imag_probe = np.split(probes, [dim, dim + j.size])
+    half = (diag[j] + diag[k]) / 2.0
+    T = np.diag(diag).astype(complex)
+    T[j, k] = (real_probe / 2.0 - half) + 1.0j * (half - imag_probe / 2.0)
+    T[k, j] = T[j, k].conj()
     scale = max(1.0, float(np.linalg.norm(T, 2)))
-    for _ in range(validation_rays):
-        psi = random_ray(rng, dim)
-        gap = abs(line_mean(h, psi) - expectation(candidate, psi))
-        if gap > tol * scale:
-            raise NonQuadraticFirstMoment(
-                f"first moments deviate from any quadratic form by {gap:.3e} on a held-out ray"
-            )
-    return candidate
+    draws = rng.normal(size=(validation_rays, 2, dim))  # the stream of validation_rays random_ray draws
+    rays = draws[:, 0] + 1j * draws[:, 1]
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+    gaps = np.abs(means(lambda a, b: rays[a:b], validation_rays) - np.sum((rays.conj() * (rays @ T.T)).real, axis=-1))
+    failed = np.flatnonzero(gaps > tol * scale)
+    if failed.size:
+        raise NonQuadraticFirstMoment(
+            f"first moments deviate from any quadratic form by {gaps[failed[0]]:.3e} on held-out ray {failed[0]}"
+        )
+    return HermitianOperator(entries=T)
 
 
 def orthodoxy_second_moment_gap(
@@ -450,22 +447,33 @@ def orthodoxy_second_moment_gap(
 
     A float for a StateVector, n gaps for an (n, d) array of nonzero rows.
     """
-    psi = np.atleast_2d(getattr(rays, "components", rays))
-    if psi.shape[-1] != h.dim:
-        raise DimensionMismatch(f"dimension mismatch: {h.dim} vs {psi.shape[-1]}")
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    laws = [(p.values, _bulk_line_weights(p.decomposition, psi)) for p in getattr(h, "parts", (h,))]
-    second = sum(w @ (v * v) for v, w in laws)
-    for (f, wf), (g, wg) in combinations(laws, 2):
-        # comonotone parts (shared u): on each merged-edge interval, a part's piece is its edge count before it
-        edges = np.concatenate((_cumulative(wf), _cumulative(wg)), axis=-1)
-        order = np.argsort(edges, axis=-1, kind="stable")
-        cross = np.diff(np.take_along_axis(edges, order, axis=-1), axis=-1, prepend=0.0)  # widths
-        for values, mine in ((f, order < f.size), (g, order >= f.size)):
-            cross = cross * values[np.minimum(np.cumsum(mine, axis=-1) - mine, values.size - 1)]
-        second = second + 2.0 * np.sum(cross, axis=-1)
-    applied = psi @ T_candidate.entries.T  # <C^2> = ||C psi||^2 for Hermitian C
-    gaps = np.abs(second - np.sum(applied.real**2 + applied.imag**2, axis=-1))
+    psi, dim = np.atleast_2d(rays.components if isinstance(rays, StateVector) else rays), h.dim
+    if psi.shape[-1] != dim:
+        raise DimensionMismatch(f"dimension mismatch: {dim} vs {psi.shape[-1]}")
+    psi = psi / np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=-1, keepdims=True))  # np.linalg.norm's sum
+    laws, offsets = (h if isinstance(h, SharedParameterSum) else SharedParameterSum((h,)))._gap_tables
+    # conj(psi) on each part's eigenvectors, then C psi: <C^2> = ||C psi||^2 for Hermitian C
+    amplitudes, conj = np.empty((len(psi), offsets[-1] + dim), dtype=complex), psi.conj()
+    for i, (vectors, *_) in enumerate(laws):
+        np.matmul(conj, vectors, out=amplitudes[:, i * dim : (i + 1) * dim])
+    np.matmul(psi, T_candidate.entries.T, out=amplitudes[:, offsets[-1] :])
+    squares = amplitudes.real**2
+    squares += amplitudes.imag**2
+    weights, c_squared = np.add.reduceat(squares, offsets, axis=-1), squares[:, offsets[-1] :].sum(axis=-1)
+    del psi, conj, amplitudes, squares  # a block of rays keeps less alive through the pair merge below
+    second = sum(weights[:, pieces] @ values_squared for _, pieces, values_squared, _ in laws)
+    edges = [_cumulative(weights[:, pieces]) for _, pieces, _, _ in laws]
+    zero, at = np.zeros((len(weights), 1)), np.arange(len(weights))[:, None]
+    for (f_edges, (*_, f)), (g_edges, (*_, g)) in combinations(zip(edges, laws), 2):
+        # comonotone parts (shared u): on each merged-edge interval, a part's piece is its edge count before it;
+        # the stable sort keeps the 0 first, and a count past a part's last edge reads its padded last value
+        pair = np.concatenate((zero, f_edges, g_edges), axis=-1)
+        order = pair.argsort(axis=-1, kind="stable")
+        ordered = pair[at, order]
+        g_count = (order > f_edges.shape[1]).cumsum(axis=-1)[:, :-1]  # of the first t sorted edges; f has t - g_count
+        cross = (ordered[:, 1:] - ordered[:, :-1]) * f[np.arange(g_count.shape[1]) - g_count] * g[g_count]
+        second = second + 2.0 * cross.sum(axis=-1)
+    gaps = np.abs(second - c_squared)
     return float(gaps[0]) if isinstance(rays, StateVector) else gaps
 
 

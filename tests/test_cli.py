@@ -253,6 +253,17 @@ class TestContext:
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["max_operator_error"] <= 1e-8
 
+    def test_unrepresentable_product_is_input_error(self, runner, tmp_path):
+        a = write_matrix(tmp_path / "a.json", np.diag([1e160, 3.0]))
+        b = write_matrix(tmp_path / "b.json", np.diag([-1e160, 1e150]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["context", a, b])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            "Error: the product combination of this family is not representable in double precision"
+        ]
+
     def test_operator_with_own_square(self, runner, files, tmp_path):
         square = write_matrix(tmp_path / "x_squared.json", PAULI_X @ PAULI_X)
         result = runner.invoke(cli, ["context", files["pauli_x"], square])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -51,10 +52,28 @@ from hobs import (
     statistical_equivalence_check,
     validate_hermitian,
 )
-from hobs.kernel import _bulk_line_weights, _cumulative, _piece_index, _row_search, u_from_words
+from hobs.kernel import WITNESS_BLOCK, _bulk_line_weights, _cumulative, _piece_index, _row_search, u_from_words
 
 UNIFORM = GammaModel.uniform()
 ARG = GammaModel.complex_arg()
+
+
+def comonotone_law(parts, psi, combine=np.add):
+    """Test-local merged-edge law of parts fed by one shared u.
+
+    Each part's value on the pieces cut by all positive-weight cumulative
+    edges, combined pointwise; the weights are the gaps between edges.
+    """
+    laws = [(v[w > 0.0], _cumulative(w)[w > 0.0]) for v, w in (p.line_distribution(psi) for p in parts)]
+    edges = np.unique(np.concatenate([c for _, c in laws]))
+    values = functools.reduce(combine, [v[_piece_index(c, edges)] for v, c in laws])
+    return values, np.diff(np.concatenate(([0.0], edges)))
+
+
+def law_mean(parts, psi, transform=None, combine=np.add):
+    """Per-line mean of the comonotone law, of its values or of transform(values)."""
+    values, weights = comonotone_law(parts, psi, combine)
+    return float(np.dot(weights, values if transform is None else transform(values)))
 
 
 class SharedParameterProduct:
@@ -77,13 +96,8 @@ class SharedParameterProduct:
             out *= p.evaluate(point)
         return out
 
-    def line_distribution(self, psi):
-        laws = [(v[w > 0.0], _cumulative(w)[w > 0.0]) for v, w in (p.line_distribution(psi) for p in self.parts)]
-        edges = np.unique(np.concatenate([c for _, c in laws]))
-        values = np.ones(len(edges))
-        for v, c in laws:
-            values = values * v[_piece_index(c, edges)]
-        return values, np.diff(np.concatenate(([0.0], edges)))
+    def line_means(self, rays):
+        return np.array([law_mean(self.parts, StateVector(components=r), combine=np.multiply) for r in rays])
 
 
 class TestGammaModel:
@@ -411,7 +425,7 @@ class TestOrthodoxy:
         )
         total = validate_hermitian(PAULI_Z + PAULI_X)
         psi = state(math.cos(math.pi / 8), math.sin(math.pi / 8))
-        assert line_mean(h, psi, transform=lambda v: v * v) == pytest.approx(4.0, abs=1e-12)
+        assert law_mean(h.parts, psi, transform=lambda v: v * v) == pytest.approx(4.0, abs=1e-12)
         assert orthodoxy_second_moment_gap(h, total, psi) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -438,8 +452,9 @@ class TestOrthodoxy:
         )
         rng = np.random.default_rng(41)
         psi = random_ray(rng, 2)
-        assert line_mean(h, psi) == pytest.approx(riemann_line_mean(h, psi), abs=2e-3)
-        assert line_mean(h, psi, transform=lambda v: v * v) == pytest.approx(
+        assert law_mean(h.parts, psi) == pytest.approx(riemann_line_mean(h, psi), abs=2e-3)
+        assert h.line_means(psi.components[None])[0] == pytest.approx(riemann_line_mean(h, psi), abs=2e-3)
+        assert law_mean(h.parts, psi, transform=lambda v: v * v) == pytest.approx(
             riemann_line_mean(h, psi, transform=lambda v: v * v), abs=2e-2
         )
 
@@ -479,7 +494,7 @@ class TestBatchedSecondMomentGap:
         for row, gap in zip(rays, gaps):
             psi = StateVector(components=row)
             squared = validate_hermitian(C.entries @ C.entries)
-            pointwise = abs(line_mean(h, psi, transform=lambda v: v * v) - expectation(squared, psi))
+            pointwise = abs(law_mean(parts, psi, transform=lambda v: v * v) - expectation(squared, psi))
             assert gap == pytest.approx(pointwise, abs=tol)
             scalar = orthodoxy_second_moment_gap(h, C, psi)
             assert isinstance(scalar, float)
@@ -499,6 +514,102 @@ class TestBatchedSecondMomentGap:
         zero = validate_hermitian(np.zeros((2, 2)))
         oracle = riemann_line_mean(h, psi, n=4001, transform=lambda v: v * v)
         assert orthodoxy_second_moment_gap(h, zero, psi) == pytest.approx(oracle, abs=5e-2)
+
+
+def _per_probe_reconstruct(h):
+    """The polarization reconstruct one probe at a time, each mean from the test-local comonotone law."""
+    dim = h.dim
+    parts = h.parts if isinstance(h, SharedParameterSum) else (h,)
+
+    def mean(*entries):
+        v = np.zeros(dim, dtype=complex)
+        for j, amplitude in entries:
+            v[j] = amplitude
+        return law_mean(parts, StateVector(components=v))
+
+    s = 1.0 / math.sqrt(2.0)
+    T = np.diag([mean((j, 1.0)) for j in range(dim)]).astype(complex)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            half = (T[j, j].real + T[k, k].real) / 2.0
+            re = mean((j, s), (k, s)) - half
+            im = half - mean((j, s), (k, 1.0j * s))
+            T[j, k], T[k, j] = re + 1.0j * im, re - 1.0j * im
+    return T
+
+
+class RecordingMeans:
+    """A hidden function that records the row count of every batched mean it is asked for."""
+
+    def __init__(self, h):
+        self.h, self.calls = h, []
+
+    @property
+    def dim(self):
+        return self.h.dim
+
+    def line_means(self, rays):
+        self.calls.append(len(rays))
+        return self.h.line_means(rays)
+
+
+class TestBatchedReconstruct:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n_parts=st.integers(1, 3),
+        diagonal=st.lists(st.booleans(), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_probe_loop(self, dim, n_parts, diagonal, seed):
+        rng = np.random.default_rng(seed)
+        parts = tuple(build_hidden_observable(_degenerate_hermitian(rng, dim, diagonal[i]), UNIFORM)
+                      for i in range(n_parts))
+        h = SharedParameterSum(parts=parts) if n_parts > 1 else parts[0]
+        expected = _per_probe_reconstruct(h)
+        rebuilt = orthodoxy_reconstruct(h).entries
+        scale = max(1.0, np.linalg.norm(expected, 2))
+        assert np.max(np.abs(rebuilt - expected)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("validation_rays", [32, 5, 0])
+    def test_rng_state_matches_sequential_random_rays(self, validation_rays):
+        f = build_hidden_observable(random_hermitian(np.random.default_rng(2), 3), UNIFORM)
+        after = np.random.default_rng(17)
+        orthodoxy_reconstruct(f, validation_rays=validation_rays, rng=after)
+        expected = np.random.default_rng(17)
+        for _ in range(validation_rays):
+            random_ray(expected, 3)
+        assert after.bit_generator.state == expected.bit_generator.state
+
+    def test_error_names_the_first_failing_held_out_ray(self):
+        # a first-moment map that is quadratic on every probe (each has at most two nonzero
+        # coordinates) but jumps on held-out rays where |psi_0 psi_1 psi_2|^2 passes that of ray 0
+        seed, dim = 4, 3
+        f = build_hidden_observable(random_hermitian(np.random.default_rng(8), dim), UNIFORM)
+        draws = np.random.default_rng(seed)
+        triple = [np.prod(np.abs(random_ray(draws, dim).components) ** 2) for _ in range(32)]
+        first = next(i for i, t in enumerate(triple) if t > triple[0])
+        assert first > 1
+
+        class Jump:
+            dim = f.dim
+
+            def line_means(self, rays):
+                return f.line_means(rays) + (np.prod(np.abs(rays) ** 2, axis=-1) > triple[0])
+
+        with pytest.raises(NonQuadraticFirstMoment, match=rf"on held-out ray {first}$"):
+            orthodoxy_reconstruct(Jump(), rng=np.random.default_rng(seed))
+
+    def test_d24_crosses_a_block_boundary(self):
+        rng = np.random.default_rng(24)
+        h = SharedParameterSum(parts=tuple(build_hidden_observable(random_hermitian(rng, 24), UNIFORM) for _ in range(2)))
+        recorder = RecordingMeans(h)
+        rebuilt = orthodoxy_reconstruct(recorder).entries
+        assert recorder.calls == [WITNESS_BLOCK, 24 * 24 - WITNESS_BLOCK, 32]  # 608 rays
+        expected = _per_probe_reconstruct(h)
+        assert np.max(np.abs(rebuilt - expected)) <= 1e-13 * max(1.0, np.linalg.norm(expected, 2))
+        target = h.parts[0].operator.entries + h.parts[1].operator.entries
+        assert np.linalg.norm(rebuilt - target) <= 1e-12 * np.linalg.norm(target)
 
 
 class TestPropositions:
