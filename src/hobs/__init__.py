@@ -33,7 +33,6 @@ from .errors import (
     ZeroInput,
 )
 from .expr import BorelExpr, compose, format_expr, identity, interval_bound, parse
-from .intervals import Interval, IntervalUnion
 from .spectral import (
     DensityMatrix,
     HermitianOperator,
@@ -62,7 +61,6 @@ from .kernel import (
     line_integral_exact,
     line_mean,
     line_weights,
-    merge_distribution,
     moments_check,
     orthodoxy_reconstruct,
     orthodoxy_second_moment_gap,

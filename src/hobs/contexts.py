@@ -39,6 +39,7 @@ from .kernel import (
     SharedParameterSum,
     _cumulative,
     _piece_index,
+    _random_rows,
     build_hidden_observable,
     draw_u,
     line_weights,
@@ -51,8 +52,8 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    _binary_scale,
     _cluster_offsets,
+    _relative_error,
     commutes,
     validate_hermitian,
 )
@@ -90,12 +91,6 @@ class Context:
     @property
     def n_labels(self) -> int:
         return len(self.decomposition.eigenvalues)
-
-
-def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
-    """||rebuilt - op||_F / max(1, ||op||_F), from copies binary-scaled so that neither norm overflows."""
-    s = _binary_scale(op)
-    return float(np.linalg.norm(s * (rebuilt - op))) / max(s, float(np.linalg.norm(s * op)))
 
 
 def joint_diagonalize(
@@ -359,8 +354,7 @@ def nogo_witness(
     search = max(1, search)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, search, WITNESS_BLOCK):
-            draws = rng.normal(size=(min(WITNESS_BLOCK, search - start), 2, A.dim))
-            rays = draws[:, 0] + 1j * draws[:, 1]
+            rays = _random_rows(rng, min(WITNESS_BLOCK, search - start), A.dim)
             gaps = objective(rays)
             k = int(np.argmax(gaps))
             if gaps[k] > best_gap:

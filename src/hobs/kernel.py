@@ -40,6 +40,7 @@ from .spectral import (
     StateVector,
     _cluster_offsets,
     _readonly,
+    _relative_error,
     expectation,
     function_values,
     spectral_decompose,
@@ -93,12 +94,7 @@ def gamma_from_complex(z: complex) -> float:
     z = complex(z)
     if z == 0:
         raise ZeroInput("argument of 0 is undefined")
-    t = math.atan2(z.imag, z.real) / (2.0 * math.pi)
-    if t < 0.0:
-        t += 1.0
-    if t == 0.0:
-        t = _TINY
-    return t
+    return float(_gamma_from_complex_arrays(np.array(z.real), np.array(z.imag)))
 
 
 def _gamma_from_complex_arrays(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -130,11 +126,17 @@ def draw_u(gamma: GammaModel, rng: np.random.Generator, n: int) -> np.ndarray:
     return u_from_words(gamma, words[:, 0], words[:, 1])
 
 
+def _random_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n unnormalized Haar-uniform rays as rows: the stream of n random_ray draws, in order."""
+    draws = rng.normal(size=(n, 2, dim))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
 def random_ray(rng: np.random.Generator, dim: int) -> StateVector:
     """A Haar-uniform ray representative on the unit sphere."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = _random_rows(rng, 1, dim)[0]
     while not np.any(v):  # pragma: no cover - probability zero
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = _random_rows(rng, 1, dim)[0]
     return StateVector(components=v / np.linalg.norm(v))
 
 
@@ -428,8 +430,7 @@ def orthodoxy_reconstruct(
     T[j, k] = (real_probe / 2.0 - half) + 1.0j * (half - imag_probe / 2.0)
     T[k, j] = T[j, k].conj()
     scale = max(1.0, float(np.linalg.norm(T, 2)))
-    draws = rng.normal(size=(validation_rays, 2, dim))  # the stream of validation_rays random_ray draws
-    rays = draws[:, 0] + 1j * draws[:, 1]
+    rays = _random_rows(rng, validation_rays, dim)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     gaps = np.abs(means(lambda a, b: rays[a:b], validation_rays) - np.sum((rays.conj() * (rays @ T.T)).real, axis=-1))
     failed = np.flatnonzero(gaps > tol * scale)
@@ -493,11 +494,14 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
         raise NotAProjector("matrix has a NaN or infinite entry")
     if E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise NotAProjector(f"expected a square matrix, got shape {E.shape}")
-    scale = max(1.0, float(np.linalg.norm(E)))
-    if np.linalg.norm(E - E.conj().T) > PROJECTOR_TOL * scale:
+    if _relative_error(E.conj().T, E) > PROJECTOR_TOL:
         raise NotAProjector("matrix is not Hermitian within tolerance")
+    # a Hermitian E with an entry part of modulus >= 2 has an eigenvalue L with |L| >= 2, so ||E @ E - E|| >= L^2/2
+    # fails the idempotency test by far: it is rejected before E + E^H or E @ E could overflow
+    if np.max(np.abs(E.view(float))) >= 2.0:
+        raise NotAProjector("matrix is not idempotent within tolerance")
     E = (E + E.conj().T) / 2.0
-    if np.linalg.norm(E @ E - E) > PROJECTOR_TOL * scale:
+    if _relative_error(E @ E, E) > PROJECTOR_TOL:
         raise NotAProjector("matrix is not idempotent within tolerance")
     w, vectors = np.linalg.eigh(E)
     kernel_dim = int(np.searchsorted(w, 0.5))  # eigenvalues near 0 come first
@@ -518,22 +522,16 @@ def proposition_measure_on_line(L: HiddenObservable, psi: StateVector) -> float:
 # Statistical equivalence of per-line distributions
 
 
-def merge_distribution(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the support and pool weights of exactly equal values."""
-    support, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
-    pooled = np.zeros_like(support)
-    np.add.at(pooled, inverse, np.asarray(weights, dtype=float))
-    return support, pooled
+def _pooled_law(values: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort a per-line law and pool runs of values whose gaps are within tol (exact ties always).
 
-
-def _cluster_distribution(
-    values: np.ndarray, weights: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool sorted support values whose gaps are within tol.
-
-    Aligns supports whose entries agree only to rounding, e.g. transfer
-    tables against independently decomposed eigenvalue lists.
+    Each pooled value is its run's weighted mean, or its smallest value
+    when the run has no weight.  This aligns supports whose entries agree
+    only to rounding, e.g. transfer tables against independently
+    decomposed eigenvalue lists.
     """
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], weights[order]
     offsets = _cluster_offsets(values, tol)
     totals = np.add.reduceat(weights, offsets)
     means = np.add.reduceat(values * weights, offsets) / np.where(totals > 0, totals, 1.0)
@@ -567,14 +565,12 @@ def statistical_equivalence_check(
     failures: list[str] = []
     max_weight_error = 0.0
     for idx, psi in enumerate(rays):
-        v1, w1 = merge_distribution(*f1.line_distribution(psi))
-        v2, w2 = merge_distribution(*f2.line_distribution(psi))
+        (v1, w1), (v2, w2) = f1.line_distribution(psi), f2.line_distribution(psi)
         vtol = value_tol
         if vtol is None:
             top = max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(v2), initial=0.0))
             vtol = 1e-9 * max(1.0, top)
-        v1, w1 = _cluster_distribution(v1, w1, vtol)
-        v2, w2 = _cluster_distribution(v2, w2, vtol)
+        (v1, w1), (v2, w2) = _pooled_law(v1, w1, vtol), _pooled_law(v2, w2, vtol)
         keep1, keep2 = w1 > weight_tol, w2 > weight_tol
         v1, w1, v2, w2 = v1[keep1], w1[keep1], v2[keep2], w2[keep2]
         if len(v1) != len(v2):

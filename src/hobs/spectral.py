@@ -7,7 +7,7 @@ read-only), so any operation here may be called concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteInput,
     NonSquareError,
 )
-from .intervals import Interval, IntervalUnion
 
 # Tolerances (see module-level conventions): hermiticity is relative to
 # the Frobenius norm of the input, eigenvalue merging to the spectral
@@ -89,9 +88,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
-        skew = np.linalg.norm(m - m.conj().T)
-        if skew > HERMITICITY_RTOL * max(1.0, np.linalg.norm(m)):
-            raise HermiticityViolation(f"density matrix not Hermitian (skew norm {skew:.3e})")
+        skew = _relative_error(m.conj().T, m)
+        if skew > HERMITICITY_RTOL:
+            raise HermiticityViolation(f"density matrix not Hermitian (relative skew norm {skew:.3e})")
         m = (m + m.conj().T) / 2.0
         trace = np.trace(m).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
@@ -155,6 +154,12 @@ def _binary_scale(m: np.ndarray) -> float:
     return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(m.view(float))))[1]))
 
 
+def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
+    """||rebuilt - op||_F / max(1, ||op||_F), from copies binary-scaled so that neither norm overflows."""
+    s = _binary_scale(op)
+    return float(np.linalg.norm(s * (rebuilt - op))) / max(s, float(np.linalg.norm(s * op)))
+
+
 def validate_hermitian(raw) -> HermitianOperator:
     """Accept a square matrix as Hermitian, symmetrizing rounding residue.
 
@@ -190,17 +195,14 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=means, vectors=v, offsets=offsets)
 
 
-BorelSetDescriptor = Union[Interval, IntervalUnion, Callable[[float], bool]]
-
-
-def spectral_projector(S: SpectralDecomposition, B: BorelSetDescriptor) -> np.ndarray:
+def spectral_projector(S: SpectralDecomposition, B: Callable[[float], object]) -> np.ndarray:
     """Projector onto the eigenspaces whose eigenvalue lies in B.
 
-    B is an Interval, an IntervalUnion, or any membership predicate.
-    The empty selection yields the zero matrix.
+    B is any membership predicate on floats, such as an indicator
+    expression `parse("ind(5, 6)")`.  The empty selection yields the
+    zero matrix.
     """
-    member = B.contains if hasattr(B, "contains") else B
-    return S.operator_with_values([1.0 if member(float(lam)) else 0.0 for lam in S.eigenvalues])
+    return S.operator_with_values([1.0 if B(float(lam)) else 0.0 for lam in S.eigenvalues])
 
 
 def function_values(b, x: np.ndarray) -> np.ndarray:

@@ -104,6 +104,15 @@ class TestVerifyTrace:
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["diag12"], "x"])
         assert result.exit_code == 2
 
+    def test_huge_skew_density_rejected_without_overflow(self, runner, files, tmp_path):
+        # the skew part would overflow an unscaled norm into an inf <= inf pass, and D be read as I/2
+        d = write_matrix(tmp_path / "D.json", [[0.5, 1e200], [-1e200, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["verify-trace", files["pauli_x"], d, "x"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"Error: {d}: density matrix not Hermitian (relative skew norm 2.000e+00)"]
+
     def test_bad_expression_rejected(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x /"])
         assert result.exit_code == 2

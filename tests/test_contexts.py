@@ -5,7 +5,6 @@ import pytest
 
 from helpers import PAULI_X, PAULI_Z, op, random_hermitian, random_projector, state
 
-import hobs.intervals as iv
 from hobs import (
     DegeneracyResolutionFailure,
     DimensionMismatch,
@@ -25,6 +24,7 @@ from hobs import (
     make_partition_context,
     nogo_witness,
     orthodoxy_reconstruct,
+    parse,
     partition_context,
     proposition_measure_on_line,
     quantile,
@@ -103,7 +103,7 @@ class TestJointDiagonalize:
         assert np.array_equal(ctx.decomposition.eigenvalues, np.arange(1, m + 1, dtype=float))
         for member in ctx.members:
             rebuilt = sum(
-                value * spectral_projector(ctx.decomposition, iv.singleton(label))
+                value * spectral_projector(ctx.decomposition, parse(f"ind({label}, {label})"))
                 for label, value in enumerate(member.values, start=1)
             )
             scale = max(1.0, np.linalg.norm(member.operator.entries))

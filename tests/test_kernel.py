@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from hobs import (
     line_integral_exact,
     line_mean,
     line_weights,
-    merge_distribution,
     moments_check,
     orthodoxy_reconstruct,
     orthodoxy_second_moment_gap,
@@ -52,7 +52,16 @@ from hobs import (
     statistical_equivalence_check,
     validate_hermitian,
 )
-from hobs.kernel import WITNESS_BLOCK, _bulk_line_weights, _cumulative, _piece_index, _row_search, u_from_words
+from hobs.kernel import (
+    WITNESS_BLOCK,
+    _bulk_line_weights,
+    _cumulative,
+    _gamma_from_complex_arrays,
+    _piece_index,
+    _pooled_law,
+    _row_search,
+    u_from_words,
+)
 
 UNIFORM = GammaModel.uniform()
 ARG = GammaModel.complex_arg()
@@ -121,6 +130,15 @@ class TestGammaModel:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             gamma_from_complex(0.0)
+
+    def test_scalar_map_is_the_array_map(self):
+        # one u map: a point gets the same bits mapped alone as inside a sampled block
+        rng = np.random.default_rng(31)
+        z = (rng.normal(size=4000) + 1j * rng.normal(size=4000)) * 10.0 ** rng.uniform(-300, 300, size=4000)
+        axes = np.array([1.0, 5e-324, 1e308])
+        z = np.concatenate([z, axes, -axes, np.conj(-axes), 1j * axes, -1j * axes])
+        scalar = np.array([gamma_from_complex(point) for point in z])
+        assert np.array_equal(scalar, _gamma_from_complex_arrays(np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)))
 
     @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
     def test_words_map_into_open_interval(self, gamma):
@@ -666,11 +684,16 @@ class TestPropositions:
             np.ones((2, 3)),
             [[math.nan, 0.0], [0.0, 1.0]],
             [[1.0, 0.0], [0.0, -math.inf]],
+            [[1.0, 1e200], [-1e200, 0.0]],
+            np.diag([1e200, 0.0]),
+            np.diag([1.7e308, 0.0]),
         ],
     )
     def test_not_a_projector(self, bad):
-        with pytest.raises(NotAProjector):
-            proposition_from_projector(bad, UNIFORM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error: huge entries must not overflow a norm
+            with pytest.raises(NotAProjector):
+                proposition_from_projector(bad, UNIFORM)
 
 
 def weights_from_projectors(projectors, rays):
@@ -756,9 +779,8 @@ class TestStatisticalEquivalence:
         for _ in range(10):
             psi = random_ray(rng, 5)
             values, weights = f.line_distribution(psi)
-            v1, w1 = merge_distribution(b(values), weights)
-            v2, w2 = g.line_distribution(psi)
-            v2, w2 = merge_distribution(v2, w2)
+            v1, w1 = _pooled_law(b(values), weights, 0.0)
+            v2, w2 = _pooled_law(*g.line_distribution(psi), 0.0)
             keep1, keep2 = w1 > 1e-12, w2 > 1e-12
             np.testing.assert_allclose(v1[keep1], v2[keep2], atol=1e-9)
             np.testing.assert_allclose(w1[keep1], w2[keep2], atol=1e-10)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Y, PAULI_Z, op, random_density, random_hermitian, state
 
-import hobs.intervals as iv
 from hobs import (
     DensityMatrix,
     DimensionMismatch,
@@ -61,7 +60,7 @@ class TestValidateHermitian:
 
 def eigenspace_projectors(S):
     """The projector onto each eigenspace, in spectral order, via spectral_projector."""
-    return [spectral_projector(S, iv.singleton(float(lam))) for lam in S.eigenvalues]
+    return [spectral_projector(S, lambda x: x == lam) for lam in S.eigenvalues]
 
 
 class TestSpectralDecompose:
@@ -114,32 +113,32 @@ class TestSpectralDecompose:
 class TestSpectralProjector:
     def test_halfline_picks_negative_eigenspace(self):
         S = spectral_decompose(op(np.diag([-1.0, 1.0])))
-        P = spectral_projector(S, iv.at_most(0.0))
+        P = spectral_projector(S, lambda x: x <= 0.0)
         np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_real_line_gives_identity(self):
         S = spectral_decompose(op(PAULI_X))
-        np.testing.assert_allclose(spectral_projector(S, iv.real_line()), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(spectral_projector(S, lambda x: True), np.eye(2), atol=1e-12)
 
     def test_singleton_on_pauli_x(self):
         S = spectral_decompose(op(PAULI_X))
-        P = spectral_projector(S, iv.singleton(1.0))
+        P = spectral_projector(S, lambda x: x == 1.0)
         np.testing.assert_allclose(P, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
 
     def test_empty_selection_is_zero(self):
         S = spectral_decompose(op(PAULI_X))
-        assert np.array_equal(spectral_projector(S, iv.closed(5.0, 6.0)), np.zeros((2, 2)))
+        assert np.array_equal(spectral_projector(S, parse("ind(5, 6)")), np.zeros((2, 2)))
 
     def test_additivity_over_disjoint_sets(self):
         rng = np.random.default_rng(42)
         T = random_hermitian(rng, 6)
         S = spectral_decompose(T)
         cut = float(np.median(S.eigenvalues))
-        left = spectral_projector(S, iv.at_most(cut))
-        right = spectral_projector(S, iv.Interval(lower=cut, lower_closed=False))
-        np.testing.assert_allclose(left + right, spectral_projector(S, iv.real_line()), atol=1e-12)
-        union = iv.union(iv.at_most(cut), iv.Interval(lower=cut, lower_closed=False))
-        np.testing.assert_allclose(spectral_projector(S, union), left + right, atol=1e-14)
+        left = spectral_projector(S, lambda x: x <= cut)
+        right = spectral_projector(S, lambda x: x > cut)
+        np.testing.assert_allclose(left + right, spectral_projector(S, lambda x: True), atol=1e-12)
+        union = spectral_projector(S, lambda x: x <= cut or x > cut)
+        np.testing.assert_allclose(union, left + right, atol=1e-14)
 
 
 class TestApplyBorel:
