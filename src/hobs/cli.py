@@ -1,14 +1,24 @@
 """Command-line front end: file loading, verification suites, JSON/CSV reports.
 
 File formats
-    matrix  JSON array of rows, each entry a [re, im] pair of doubles
-    vector  JSON array of [re, im] pairs
+    matrix  JSON array of rows, each entry a [re, im] pair of JSON numbers
+    vector  JSON array of [re, im] pairs of JSON numbers
     report  JSON object with lexicographically sorted keys
     samples CSV `component_index,u,value`, 17 significant digits
 
 Exit codes: 0 pass, 1 verification fail, 2 input error, 3 internal
 numeric failure.  Reports contain no timestamps; identical inputs and
 seed produce byte-identical output for any worker count.
+
+A report's `inputs_digest` is the SHA-256 of, for each input file in
+argument order, its numbers parsed into a float64 array of shape
+(d, d, 2) for a matrix or (d, 2) for a vector: the number of axes and
+then each axis length as 8-byte big-endian integers, followed by the
+array's little-endian C-order bytes; and last the 8-byte big-endian
+length of the command's config, then the config as compact JSON with
+sorted keys.  Two files whose numbers parse to the same doubles share
+a digest however the numbers are spelled (`1` or `1.0`, exponents,
+whitespace).
 """
 
 from __future__ import annotations
@@ -60,34 +70,28 @@ class _InputError(click.ClickException):
     exit_code = 2
 
 
-def _load_json(path: str):
+def _load_complex(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The file's [re, im] pairs as a float64 array, which the input digest hashes, and its complex entries."""
     try:
         text = Path(path).read_text()
-        return json.loads(text)
+        data = json.loads(text)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _parse_complex_entries(obj, path: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise _InputError(f"{path}: entries must be finite, found NaN or infinity")
-    if arr.ndim == 3 and arr.shape[2] == 2:  # matrix of [re, im]
-        return arr[..., 0] + 1.0j * arr[..., 1]
-    if arr.ndim == 2 and arr.shape[1] == 2:  # vector of [re, im]
-        return arr[:, 0] + 1.0j * arr[:, 1]
-    raise _InputError(f"{path}: expected [re, im] pairs (vector) or rows of pairs (matrix)")
-
-
-def _load_complex(path: str) -> tuple[object, np.ndarray]:
-    """The file's parsed JSON, which the input digest hashes, and its complex entries."""
-    data = _load_json(path)
+    # in text that parsed, a quote starts a string and "u" or "l" occur only in true, false
+    # and null: no number, NaN or Infinity contains them
+    if '"' in text or "u" in text or "l" in text:
+        raise _InputError(f"{path}: entries must be JSON numbers, found a string, true, false or null")
     try:
-        return data, _parse_complex_entries(data, path)
-    except (ValueError, TypeError) as exc:
+        pairs = np.asarray(data, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _InputError(f"{path}: malformed numeric data: {exc}") from exc
+    if not np.all(np.isfinite(pairs)):
+        raise _InputError(f"{path}: entries must be finite, found NaN or infinity")
+    if not (pairs.ndim == 3 and pairs.shape[2] == 2 or pairs.ndim == 2 and pairs.shape[1] == 2):
+        raise _InputError(f"{path}: expected [re, im] pairs (vector) or rows of pairs (matrix)")
+    return pairs, pairs[..., 0] + 1.0j * pairs[..., 1]
 
 
 def _as_matrix(entries: np.ndarray, path: str, density: bool = False) -> HermitianOperator | DensityMatrix:
@@ -100,10 +104,10 @@ def _as_matrix(entries: np.ndarray, path: str, density: bool = False) -> Hermiti
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _load_matrix(path: str, density: bool = False) -> tuple[object, HermitianOperator | DensityMatrix]:
-    """The file's parsed JSON and the matrix it holds, as for _as_matrix."""
-    data, entries = _load_complex(path)
-    return data, _as_matrix(entries, path, density)
+def _load_matrix(path: str, density: bool = False) -> tuple[np.ndarray, HermitianOperator | DensityMatrix]:
+    """The file's [re, im] pairs, as from _load_complex, and the matrix they hold, as for _as_matrix."""
+    pairs, entries = _load_complex(path)
+    return pairs, _as_matrix(entries, path, density)
 
 
 def _parse_expression(text: str) -> expr.BorelExpr:
@@ -113,14 +117,14 @@ def _parse_expression(text: str) -> expr.BorelExpr:
         raise _InputError(f"bad expression: {exc}") from exc
 
 
-def _digest(inputs: list, extra: dict) -> str:
-    """SHA-256 over the canonicalized parsed input files plus the governing config."""
+def _digest(inputs: list[np.ndarray], extra: dict) -> str:
+    """SHA-256 over each input's [re, im] pair array, then the governing config (see the module docstring)."""
     h = hashlib.sha256()
-    for data in inputs:
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        piece = canonical.encode()
-        h.update(len(piece).to_bytes(8, "big"))
-        h.update(piece)
+    for pairs in inputs:
+        h.update(pairs.ndim.to_bytes(8, "big"))
+        for n in pairs.shape:
+            h.update(n.to_bytes(8, "big"))
+        h.update(np.ascontiguousarray(pairs, dtype="<f8").tobytes())
     config = json.dumps(extra, sort_keys=True, separators=(",", ":")).encode()
     h.update(len(config).to_bytes(8, "big"))
     h.update(config)
@@ -238,8 +242,8 @@ def cli():
 @_common_options
 def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma, output_path):
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
-    t_data, T = _load_matrix(t_file)
-    d_data, D = _load_matrix(d_file, density=True)
+    t_pairs, T = _load_matrix(t_file)
+    d_pairs, D = _load_matrix(d_file, density=True)
     if T.dim != D.dim:
         raise _InputError(f"dimension mismatch: {t_file} is {T.dim}x{T.dim}, {d_file} is {D.dim}x{D.dim}")
     b = _parse_expression(b_expr)
@@ -279,7 +283,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
         return results, passed
 
     _report(
-        "verify-trace", [t_data, d_data], {"b": b_expr, "samples": samples}, run,
+        "verify-trace", [t_pairs, d_pairs], {"b": b_expr, "samples": samples}, run,
         [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], seed, tolerance, gamma, output_path,
     )
 
@@ -291,7 +295,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
 @_common_options
 def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
     """Check sampled values of the observable function land in the spectrum."""
-    t_data, T = _load_matrix(t_file)
+    t_pairs, T = _load_matrix(t_file)
 
     def run():
         f = build_hidden_observable(T, gamma)
@@ -307,7 +311,7 @@ def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
         return results, report.passed
 
     _report(
-        "support", [t_data], {"rays": rays, "samples": samples}, run,
+        "support", [t_pairs], {"rays": rays, "samples": samples}, run,
         [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
     )
 
@@ -345,7 +349,7 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
         return results, report.passed
 
     _report(
-        "context", [data for data, _ in loaded], {"trials": trials}, run,
+        "context", [pairs for pairs, _ in loaded], {"trials": trials}, run,
         [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
     )
 
@@ -357,8 +361,8 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
 @_common_options
 def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
-    a_data, A = _load_matrix(a_file)
-    b_data, B = _load_matrix(b_file)
+    a_pairs, A = _load_matrix(a_file)
+    b_pairs, B = _load_matrix(b_file)
 
     def run():
         report = nogo_witness(A, B, gamma, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
@@ -377,7 +381,7 @@ def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
         return results, passed
 
     _report(
-        "nogo", [a_data, b_data], {"search": search}, run,
+        "nogo", [a_pairs, b_pairs], {"search": search}, run,
         [FINITE_DIM_CAVEAT, SHARED_U_CAVEAT], seed, tolerance, gamma, output_path,
     )
 

@@ -91,7 +91,7 @@ class DensityMatrix:
         skew = _relative_error(m.conj().T, m)
         if skew > HERMITICITY_RTOL:
             raise HermiticityViolation(f"density matrix not Hermitian (relative skew norm {skew:.3e})")
-        m = (m + m.conj().T) / 2.0
+        m = m / 2.0 + m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
         trace = np.trace(m).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} != 1")
@@ -146,7 +146,9 @@ class SpectralDecomposition:
 
 def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
     """Start index of each run of ascending values whose neighbours are within gap_tol."""
-    return np.concatenate(([0], np.flatnonzero(np.diff(sorted_values) > gap_tol) + 1))
+    with np.errstate(over="ignore"):  # a gap beyond the largest double is infinite, and still splits
+        gaps = np.diff(sorted_values)
+    return np.concatenate(([0], np.flatnonzero(gaps > gap_tol) + 1))
 
 
 def _binary_scale(m: np.ndarray) -> float:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
-from hobs.cli import _emit_report, cli
+from hobs.cli import _digest, _emit_report, cli
 
 
 def write_matrix(path, matrix):
@@ -51,6 +53,27 @@ def files(tmp_path):
 
 def report_of(result):
     return json.loads(result.output)
+
+
+def documented_digest(paths, config):
+    """The inputs digest recomputed from its definition in the hobs.cli docstring."""
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path) as f:
+            pairs = np.asarray(json.load(f), dtype="<f8")
+        h.update(pairs.ndim.to_bytes(8, "big"))
+        for n in pairs.shape:
+            h.update(n.to_bytes(8, "big"))
+        h.update(pairs.tobytes(order="C"))
+    text = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    h.update(len(text).to_bytes(8, "big"))
+    h.update(text)
+    return h.hexdigest()
+
+
+def shared_config(command, seed=0, tol=1e-8, gamma="uniform", **options):
+    """The digest config of one report command: its own options plus those every command shares."""
+    return {**options, "command": command, "gamma": gamma, "seed": seed, "tol": tol}
 
 
 def _reject_constant(name):
@@ -113,6 +136,15 @@ class TestVerifyTrace:
         assert result.exit_code == 2, result.output
         assert result.output.splitlines() == [f"Error: {d}: density matrix not Hermitian (relative skew norm 2.000e+00)"]
 
+    def test_huge_hermitian_density_rejected_without_overflow(self, runner, files, tmp_path):
+        # (D + D^H)/2 would overflow to inf here; the negative eigenvalue -1e308 is the fault to report
+        d = write_matrix(tmp_path / "D.json", [[0.5, 1e308], [1e308, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["verify-trace", files["pauli_x"], d, "x"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"Error: {d}: density matrix has negative eigenvalue -1.000e+308"]
+
     def test_bad_expression_rejected(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x /"])
         assert result.exit_code == 2
@@ -137,11 +169,12 @@ class TestVerifyTrace:
 
 
     def test_inputs_digest_unchanged(self, runner, files):
-        # the digest hashes canonicalized parsed JSON; this value pins its bytes
+        # the digest hashes the parsed float64 [re, im] arrays and the config; this value pins its bytes
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
-        assert report_of(result)["inputs_digest"] == (
-            "3ffdde6cc0a060cc75ffaf0008015e5b5f12deb8aea16083b4d5f7fa70891683"
-        )
+        digest = report_of(result)["inputs_digest"]
+        assert digest == "0cce5dbdedffea84c315023fb834e9fcb3cfc24f119ab15e447502b0409ea3d7"
+        config = shared_config("verify-trace", b="x", samples=100)
+        assert digest == documented_digest([files["identity"], files["mixed"]], config)
 
     def test_large_offset_passes_with_sound_std_error(self, runner, tmp_path):
         t = write_matrix(tmp_path / "T.json", np.diag(1e8 + np.arange(4.0)))
@@ -225,11 +258,21 @@ class TestSupport:
         result = runner.invoke(cli, ["support", files["pauli_x"], "--samples", "1000", "--rays", "5", "--gamma", "arg"])
         assert result.exit_code == 0
 
+    def test_spectrum_wider_than_largest_double(self, runner, tmp_path):
+        # the eigenvalue gap 2e308 overflows to inf, which must still split the two eigenvalues
+        t = write_matrix(tmp_path / "T.json", [[0.0, 1e308], [1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["support", t, "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["eigenvalues"] == [-1e308, 1e308]
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10", "--gamma", "arg"])
-        assert report_of(result)["inputs_digest"] == (
-            "4c7e0802bf1b25f3a319a2afdd786efa456e8e737048dec4ec2ae68c6419928a"
-        )
+        digest = report_of(result)["inputs_digest"]
+        assert digest == "a4820a0af9f50d1d3f3e63ab24ff068a783cc7769c4b1c5b7c530989f5f2a6ef"
+        config = shared_config("support", gamma="arg", rays=10, samples=200)
+        assert digest == documented_digest([files["signs"]], config)
 
 
 class TestContext:
@@ -280,9 +323,10 @@ class TestContext:
 
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], "--trials", "3"])
-        assert report_of(result)["inputs_digest"] == (
-            "be16f7c2b7186254aeafbfb082c237140b9109b3a5af6a24a9e7b1a2d0268cb7"
-        )
+        digest = report_of(result)["inputs_digest"]
+        assert digest == "5016a9ff6bfe3f3c5382904f6013a24973bff87b1e8809f3b315f92362357838"
+        config = shared_config("context", trials=3)
+        assert digest == documented_digest([files["diag12"], files["diag55"]], config)
 
 
 class TestNogo:
@@ -326,9 +370,104 @@ class TestNogo:
 
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_z"], files["pauli_x"], "--search", "16", "--seed", "5"])
-        assert report_of(result)["inputs_digest"] == (
-            "f42e0364a5545b6f8e1ee3b65c61fd7a5633e7bd28c074a31c7cc23fe0b2d9c2"
+        digest = report_of(result)["inputs_digest"]
+        assert digest == "d4bb10bee4ae3580f3e4933840507dfbef1ae8367d3d3fda925051a1650086e0"
+        config = shared_config("nogo", seed=5, search=16)
+        assert digest == documented_digest([files["pauli_z"], files["pauli_x"]], config)
+
+
+def spellings(x):
+    """JSON spellings of the float x that parse back to x exactly."""
+    sign, digits, exponent = Decimal(repr(x)).as_tuple()
+    mantissa = ("-" if sign else "") + "".join(map(str, digits))
+    out = [repr(x), f"{x:.17e}", f"{x:.17E}", f"{mantissa}e{exponent}", f"{mantissa}E{exponent:+d}"]
+    if x.is_integer() and abs(x) < 2.0**53 and not (x == 0.0 and math.copysign(1.0, x) < 0.0):
+        out.append(str(int(x)))  # JSON reads -0 as the integer 0, so -0.0 keeps its fraction
+    return out
+
+
+def digest_of(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code in (0, 1), result.output
+    return report_of(result)["inputs_digest"]
+
+
+class TestInputsDigest:
+    @given(data=st.data(), dim=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_spelling_does_not_change_digest(self, data, dim):
+        number = st.one_of(
+            st.integers(-1000, 1000).map(float),
+            st.floats(-1e6, 1e6, allow_nan=False),
+            st.floats(-1e-6, 1e-6, allow_nan=False),
         )
+        m = np.zeros((dim, dim), dtype=complex)
+        for j in range(dim):
+            m[j, j] = data.draw(number)
+            for k in range(j + 1, dim):
+                m[j, k] = complex(data.draw(number), data.draw(number))
+                m[k, j] = m[j, k].conjugate()
+        separators = [",", ", ", " ,\n\t", "\r\n,  "]
+
+        def spelled(part):
+            return data.draw(st.sampled_from(spellings(float(part))))
+
+        def joined(items):
+            return "[" + data.draw(st.sampled_from(separators)).join(items) + "]"
+
+        text = joined([joined([joined([spelled(z.real), spelled(z.imag)]) for z in row]) for row in m])
+        with tempfile.TemporaryDirectory() as tmp:
+            plain = write_matrix(Path(tmp) / "plain.json", m)
+            other = Path(tmp) / "spelled.json"
+            other.write_text(" \n" + text + "\n")
+            runner = CliRunner()
+            args = ["--samples", "2", "--rays", "1"]
+            assert digest_of(runner, ["support", plain] + args) == digest_of(runner, ["support", str(other)] + args)
+
+    @pytest.mark.parametrize("flat_index", range(8))
+    def test_one_ulp_changes_digest(self, runner, files, tmp_path, flat_index):
+        pairs = np.array(json.loads(Path(files["diag12"]).read_text()))
+        moved = pairs.copy()
+        moved.reshape(-1)[flat_index] = np.nextafter(moved.reshape(-1)[flat_index], np.inf)
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(moved.tolist()))
+        args = ["--samples", "2", "--rays", "1"]
+        assert digest_of(runner, ["support", files["diag12"]] + args) != digest_of(runner, ["support", str(path)] + args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-trace", "{diag37}", "{mixed}", "x", "--samples", "100"],
+            ["nogo", "{pauli_x}", "{pauli_z}", "--search", "4"],
+        ],
+    )
+    def test_swapped_files_change_digest(self, runner, files, args):
+        forward = [arg.format(**files) for arg in args]
+        swapped = forward[:1] + forward[2:0:-1] + forward[3:]
+        assert digest_of(runner, forward) != digest_of(runner, swapped)
+
+    def test_vector_and_matrix_of_same_numbers_differ(self):
+        numbers = np.arange(8.0)
+        config = {"command": "test"}
+        assert _digest([numbers.reshape(4, 2)], config) != _digest([numbers.reshape(2, 2, 2)], config)
+
+    def test_every_config_key_changes_digest(self, runner, files):
+        base = ["verify-trace", files["pauli_x"], files["diag37"], "x", "--samples", "100"]
+        variants = [
+            ["--seed", "1"],
+            ["--tol", "1e-7"],
+            ["--gamma", "arg"],
+            ["--samples", "101"],
+        ]
+        digests = [digest_of(runner, base)] + [digest_of(runner, base + extra) for extra in variants]
+        digests.append(digest_of(runner, base[:3] + ["x^2"] + base[4:]))
+        assert len(set(digests)) == len(digests)
+
+    def test_digest_same_across_workers(self, runner, files):
+        args = ["verify-trace", files["pauli_x"], files["diag37"], "x^2", "--samples", "100000", "--seed", "3"]
+        digests = {digest_of(runner, args + ["--workers", workers]) for workers in ("1", "2")}
+        config = shared_config("verify-trace", seed=3, b="x^2", samples=100000)
+        assert digests == {documented_digest([files["pauli_x"], files["diag37"]], config)}
 
 
 class TestSample:
@@ -400,6 +539,31 @@ class TestInputValidation:
         path.write_text(json.dumps([[1.0, 0.0], [bad, 0.0]]))
         result = runner.invoke(cli, ["sample", str(path), "--samples", "3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[[["1","0"],["0","0"]],[["0","0"],["2","0"]]]',
+            "[[[true,0],[0,0]],[[0,0],[false,0]]]",
+            "[[[1,0],[0,0]],[[0,0],[null,0]]]",
+        ],
+    )
+    def test_non_number_entry_is_input_error(self, runner, files, tmp_path, text):
+        # NumPy would read "1" as 1.0 and true as 1.0, and the check would pass on them
+        path = tmp_path / "T.json"
+        path.write_text(text)
+        result = runner.invoke(cli, ["verify-trace", str(path), files["mixed"], "x", "--samples", "100"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            f"Error: {path}: entries must be JSON numbers, found a string, true, false or null"
+        ]
+
+    def test_integer_beyond_double_range_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "T.json"
+        path.write_text("[[[1" + "0" * 400 + ",0],[0,0]],[[0,0],[1,0]]]")
+        result = runner.invoke(cli, ["support", str(path), "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"Error: {path}: malformed numeric data: int too large to convert to float"]
 
     def test_zero_vector_is_input_error(self, runner, tmp_path):
         path = write_vector(tmp_path / "zero.json", [0.0, 0.0])
