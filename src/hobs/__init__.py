@@ -22,7 +22,6 @@ from .errors import (
     ExprSyntaxError,
     HermiticityViolation,
     HobsError,
-    IndexOutOfRange,
     NaNInput,
     NonFiniteInput,
     NonQuadraticFirstMoment,
@@ -32,7 +31,7 @@ from .errors import (
     NotOrthogonalFamily,
     ZeroInput,
 )
-from .expr import BorelExpr, compose, format_expr, identity, interval_bound, parse
+from .expr import BorelExpr, compose, format_expr, interval_bound, parse
 from .spectral import (
     DensityMatrix,
     HermitianOperator,
@@ -56,7 +55,6 @@ from .kernel import (
     build_hidden_observable,
     cdf,
     draw_u,
-    evaluate,
     gamma_from_complex,
     line_integral_exact,
     line_mean,
@@ -65,7 +63,6 @@ from .kernel import (
     orthodoxy_reconstruct,
     orthodoxy_second_moment_gap,
     proposition_from_projector,
-    proposition_measure_on_line,
     pushforward_ks,
     quantile,
     random_ray,
@@ -90,14 +87,11 @@ from .contexts import (
     Context,
     HomomorphismReport,
     NogoReport,
-    PartitionContext,
     context_combine,
-    context_observable,
     homomorphism_check,
     joint_diagonalize,
     make_partition_context,
     nogo_witness,
-    partition_context,
 )
 
 __version__ = "0.1.0"

@@ -396,11 +396,11 @@ def _sample_inputs(path: str, observable_path: str | None):
     """
     _, entries = _load_complex(path)
     if entries.ndim == 1:
-        norm_sq = np.vdot(entries, entries).real
-        if not 0.0 < norm_sq < math.inf:
-            raise _InputError(f"{path}: the state vector's norm must be nonzero and finite")
-        ensemble = Ensemble(weights=np.array([1.0]), rays=entries[None, :] / np.linalg.norm(entries))
-        default_op = validate_hermitian(np.outer(entries, entries.conj()) / norm_sq)
+        if not np.any(entries):
+            raise _InputError(f"{path}: the state vector must be nonzero")
+        v = spectral._binary_scale(entries) * entries  # so that no norm overflows; a power of two keeps the bits
+        ensemble = Ensemble(weights=np.array([1.0]), rays=v[None, :] / np.linalg.norm(v))
+        default_op = validate_hermitian(np.outer(v, v.conj()) / np.vdot(v, v).real)
     else:
         operator = _as_matrix(entries, path)
         try:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DegeneracyResolutionFailure,
     DimensionMismatch,
-    IndexOutOfRange,
     NonFiniteInput,
     NotAProjector,
     NotCommuting,
@@ -51,7 +50,6 @@ from .kernel import (
 from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
-    StateVector,
     _cluster_offsets,
     _relative_error,
     commutes,
@@ -72,9 +70,10 @@ SHARED_U_CAVEAT = (
 class Context:
     """A commuting family expressed as transfer tables over one generator.
 
-    f0 is the generator observable, valued in the labels 1..m of the
-    joint eigenspaces; each member shares its decomposition and carries
-    the family operator's value on joint eigenspace j at index j-1.
+    f0 is the generator observable, valued in one label per piece of its
+    partition: 1..m for the joint eigenspaces of a family, 0 on the
+    complement and then 1..n for a partition context.  Each member shares
+    f0's decomposition and carries its operator's value on each piece.
     """
 
     f0: HiddenObservable
@@ -147,7 +146,7 @@ def joint_diagonalize(
             last_error = worst
             continue
 
-        generator = HermitianOperator(entries=decomposition.reconstruct())
+        generator = HermitianOperator(entries=decomposition.operator_with_values(labels))
         f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=labels)
         members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
         return Context(f0=f0, members=members)
@@ -156,13 +155,6 @@ def joint_diagonalize(
         f"no generic combination split the joint eigenspaces in {retries} draws "
         f"(last reconstruction error {last_error:.3e})"
     )
-
-
-def context_observable(ctx: Context, member_index: int) -> HiddenObservable:
-    """The member function: its transfer table applied to the generator value."""
-    if not 0 <= member_index < len(ctx.members):
-        raise IndexOutOfRange(f"member index {member_index} outside 0..{len(ctx.members) - 1}")
-    return ctx.members[member_index]
 
 
 def _combined_table(tables: np.ndarray, coeffs: np.ndarray, op: str) -> np.ndarray:
@@ -363,14 +355,14 @@ def nogo_witness(
             raise NonFiniteInput("the second-moment gap of this pair is not representable in double precision")
         chart = np.concatenate([best_ray.real, best_ray.imag])
         chart, best_gap = _compass_polish(lambda c: objective(c[:, : A.dim] + 1.0j * c[:, A.dim :]), chart, polish_budget)
-    witness = StateVector(components=chart[: A.dim] + 1.0j * chart[A.dim :]).normalized()
+    witness = chart[: A.dim] + 1.0j * chart[A.dim :]  # nonzero: the polish skips the zero vector
 
     branch = "witness" if best_gap > threshold else "inconclusive"
     return NogoReport(
         branch=branch,
         gap=float(best_gap),
         gap_threshold=threshold,
-        witness_ray=witness,
+        witness_ray=witness / np.linalg.norm(witness),
         reconstruction_error=reconstruction_error,
         context=None,
         caveats=(SHARED_U_CAVEAT,),
@@ -381,35 +373,14 @@ def nogo_witness(
 # Partition contexts (orthogonal projector families)
 
 
-@dataclass(frozen=True)
-class PartitionContext:
-    """Orthogonal projectors realized as label sets of one generator.
+def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Context:
+    """Validate an orthogonal family of nonzero projectors and build its context.
 
-    The generator observable carries label n on the range of the n-th
-    projector (label 0 on the complement, when there is one); member
-    functions place a coefficient on each label, so their indicator
-    parts are disjoint on every line by construction.
+    The generator carries label n on the range of the n-th projector
+    (label 0 on the complement, when there is one), and member n is the
+    indicator of label n, so the members are disjoint on every line and
+    context_combine places a coefficient on each label.
     """
-
-    propositions: tuple[HiddenObservable, ...]
-    generator: HiddenObservable
-    has_complement: bool
-
-    @property
-    def dim(self) -> int:
-        return self.generator.dim
-
-    def member(self, coeffs: Sequence[float]) -> HiddenObservable:
-        c = np.array(coeffs, dtype=float)
-        if c.shape != (len(self.propositions),):
-            raise ValueError(f"need {len(self.propositions)} coefficients, got {c.shape}")
-        table = np.concatenate(([0.0], c)) if self.has_complement else c
-        operator = HermitianOperator(entries=self.generator.decomposition.operator_with_values(table))
-        return replace(self.generator, operator=operator, values=table)
-
-
-def make_partition_context(projectors: Sequence, gamma: GammaModel) -> PartitionContext:
-    """Validate an orthogonal family of nonzero projectors and build its context."""
     mats = [np.array(E, dtype=complex) for E in projectors]
     if not mats:
         raise NotOrthogonalFamily("projector family must be non-empty")
@@ -441,15 +412,7 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Partition
         blocks = [complement] + blocks
     offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     decomposition = SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.hstack(blocks), offsets=offsets)
-    generator_op = HermitianOperator(entries=decomposition.reconstruct())
-    generator = HiddenObservable(operator=generator_op, decomposition=decomposition, gamma=gamma, values=eigenvalues)
-    return PartitionContext(
-        propositions=tuple(props), generator=generator, has_complement=complement.shape[1] > 0
-    )
-
-
-def partition_context(
-    projectors: Sequence, coeffs: Sequence[float], gamma: GammaModel
-) -> HiddenObservable:
-    """The coefficient combination of disjoint indicators on one generator."""
-    return make_partition_context(projectors, gamma).member(coeffs)
+    generator = HermitianOperator(entries=decomposition.operator_with_values(eigenvalues))
+    f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=eigenvalues)
+    members = tuple(replace(f0, operator=p.operator, values=eigenvalues == n) for n, p in enumerate(props, start=1))
+    return Context(f0=f0, members=members)

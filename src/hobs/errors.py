@@ -49,10 +49,6 @@ class DegeneracyResolutionFailure(HobsError):
     """Generic-combination retries failed to split joint eigenspaces."""
 
 
-class IndexOutOfRange(HobsError, IndexError):
-    """Member index outside the context."""
-
-
 class NotOrthogonalFamily(HobsError):
     """Projector family is not pairwise orthogonal (or contains zero)."""
 

@@ -394,7 +394,3 @@ def interval_bound(b: BorelExpr, lo: float, hi: float) -> tuple[float, float]:
     if lo > hi:
         raise ValueError("lo > hi")
     return _bound(b.ast, lo, hi)
-
-
-def identity() -> BorelExpr:
-    return parse("x")

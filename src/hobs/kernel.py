@@ -84,23 +84,19 @@ class GammaModel:
         return cls(kind="arg")
 
 
-def gamma_from_complex(z: complex) -> float:
-    """Normalized argument of z, wrapped into the open interval (0, 1).
+def gamma_from_complex(z) -> np.ndarray:
+    """Normalized argument of each entry of z, wrapped into the open interval (0, 1).
 
     arg(z)/2pi lies in (-1/2, 1/2]; negative values wrap up by one and
     the boundary 0 (positive real axis) maps to the smallest positive
     double, a measure-zero remap that keeps the value interior.
     """
-    z = complex(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    if not np.all(z):
         raise ZeroInput("argument of 0 is undefined")
-    return float(_gamma_from_complex_arrays(np.array(z.real), np.array(z.imag)))
-
-
-def _gamma_from_complex_arrays(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    t = np.arctan2(im, re) / (2.0 * math.pi)
+    t = np.arctan2(z.imag, z.real) / (2.0 * math.pi)
     t = np.where(t < 0.0, t + 1.0, t)
-    return np.where(t == 0.0, _TINY, t)
+    return np.where(t == 0.0, _TINY, t)[()]
 
 
 def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -117,7 +113,7 @@ def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray) -> np.ndarra
     r = np.sqrt(-2.0 * np.log1p(-w1))
     r = np.where(r == 0.0, _TINY_NORMAL, r)
     theta = 2.0 * math.pi * w2
-    return _gamma_from_complex_arrays(r * np.cos(theta), r * np.sin(theta))
+    return gamma_from_complex(r * np.cos(theta) + 1j * (r * np.sin(theta)))
 
 
 def draw_u(gamma: GammaModel, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -289,13 +285,6 @@ def build_hidden_observable(T: HermitianOperator, gamma: GammaModel) -> HiddenOb
     return HiddenObservable(operator=T, decomposition=S, gamma=gamma, values=S.eigenvalues)
 
 
-def evaluate(f: HiddenObservable | SharedParameterSum, point: HiddenPoint) -> float:
-    """Evaluate a hidden function at a hidden point."""
-    if f.dim != point.ray.dim:
-        raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {point.ray.dim}")
-    return f.evaluate(point)
-
-
 @dataclass(frozen=True)
 class SharedParameterSum:
     """Pointwise sum of hidden functions fed by one shared hidden point.
@@ -344,8 +333,9 @@ def line_integral_exact(f: HiddenObservable, b, psi: StateVector) -> float:
 
 
 def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector) -> float:
-    """Exact mean over one line of a hidden function."""
-    return float(h.line_means(psi.normalized()[None])[0])
+    """Exact mean over the line of psi: the mean on the raw row over its squared norm, as line_weights divides."""
+    v = psi.components
+    return float(h.line_means(v[None])[0] / np.vdot(v, v).real)
 
 
 @dataclass(frozen=True)
@@ -510,12 +500,6 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
     else:
         S = SpectralDecomposition(eigenvalues=[0.0, 1.0], vectors=vectors, offsets=[0, kernel_dim])
     return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma, values=S.eigenvalues)
-
-
-def proposition_measure_on_line(L: HiddenObservable, psi: StateVector) -> float:
-    """Exact u-measure of the event {L = 1} on the line of psi; equals <E>_psi."""
-    values, weights = L.line_distribution(psi)
-    return float(np.sum(weights[values == 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -32,7 +32,6 @@ from .kernel import (
     _bulk_line_weights,
     _quantile_values,
     _row_search,
-    proposition_measure_on_line,
     u_from_words,
 )
 from .spectral import DensityMatrix, StateVector, function_values
@@ -67,12 +66,6 @@ class Ensemble:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rays", r)
 
-    @classmethod
-    def of(cls, components: Sequence[tuple[float, StateVector]]) -> "Ensemble":
-        weights = np.array([w for w, _ in components], dtype=float)
-        rays = np.array([psi.normalized() for _, psi in components], dtype=complex)
-        return cls(weights=weights, rays=rays)
-
     @property
     def dim(self) -> int:
         return self.rays.shape[1]
@@ -80,9 +73,6 @@ class Ensemble:
     @property
     def size(self) -> int:
         return self.rays.shape[0]
-
-    def component_states(self) -> list[StateVector]:
-        return [StateVector(components=row) for row in self.rays]
 
 
 @dataclass(frozen=True)
@@ -132,8 +122,7 @@ def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
     """mu(L): the mixture-weighted exact per-line measure of the event."""
     if L.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {L.dim} vs {mu.dim}")
-    per_line = [proposition_measure_on_line(L, psi) for psi in mu.ensemble.component_states()]
-    return float(np.dot(mu.ensemble.weights, per_line))
+    return float(np.dot(mu.ensemble.weights, L.line_means(mu.ensemble.rays)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +175,7 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
     """n hidden points drawn from the mixture; deterministic per seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = mu.ensemble.component_states()
+    states = [StateVector(components=row) for row in mu.ensemble.rays]
     points: list[HiddenPoint] = []
     for start, count in stream.blocks(n):
         k, u = _draw_block(mu, stream, start, count)

@@ -75,10 +75,6 @@ class StateVector:
     def dim(self) -> int:
         return self.components.shape[0]
 
-    def normalized(self) -> np.ndarray:
-        v = self.components
-        return v / np.linalg.norm(v)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -139,10 +135,6 @@ class SpectralDecomposition:
         m = (v * np.repeat(np.asarray(values, dtype=float), sizes)) @ v.conj().T
         return (m + m.conj().T) / 2.0
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projector; reproduces the source operator."""
-        return self.operator_with_values(self.eigenvalues)
-
 
 def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
     """Start index of each run of ascending values whose neighbours are within gap_tol."""
@@ -165,12 +157,12 @@ def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
 def validate_hermitian(raw) -> HermitianOperator:
     """Accept a square matrix as Hermitian, symmetrizing rounding residue.
 
-    The skew part (H - H^dagger)/2 is folded back into the operator and
+    The skew part H/2 - H^dagger/2 is folded back into the operator and
     its Frobenius norm recorded as `correction`; above tolerance the
     input is rejected instead.
     """
     m = _as_complex_matrix(raw)
-    skew = (m - m.conj().T) / 2.0
+    skew = m / 2.0 - m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
     scale = _binary_scale(m)
     correction = float(np.linalg.norm(scale * skew)) / scale
     if correction * scale > HERMITICITY_RTOL * max(scale, float(np.linalg.norm(scale * m))):
@@ -193,7 +185,11 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
         raise EigensolverFailure(str(exc)) from exc
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * scale)
-    means = np.add.reduceat(w, offsets) / np.diff(offsets, append=len(w))
+    sizes = np.diff(offsets, append=len(w))
+    # a cluster sum of the copy scaled by 2^-k, 2^k >= the largest cluster size, cannot overflow;
+    # power-of-two scaling is exact above the subnormals, and k = 0 when no eigenvalues merge
+    k = int(sizes.max() - 1).bit_length()
+    means = np.ldexp(np.add.reduceat(np.ldexp(w, -k), offsets) / sizes, k)
     return SpectralDecomposition(eigenvalues=means, vectors=v, offsets=offsets)
 
 

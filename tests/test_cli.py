@@ -267,6 +267,24 @@ class TestSupport:
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["eigenvalues"] == [-1e308, 1e308]
 
+    def test_repeated_eigenvalue_near_largest_double(self, runner, tmp_path):
+        # the cluster sum 1.7e308 + 1.7e308 would overflow; the mean must come back as the eigenvalue
+        t = write_matrix(tmp_path / "T.json", np.diag([1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["support", t, "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["eigenvalues"] == [1.7e308]
+
+    def test_huge_skew_operator_rejected_without_overflow(self, runner, tmp_path):
+        # m - m^H would overflow to inf; the skew part is the fault to report
+        t = write_matrix(tmp_path / "T.json", [[0.0, 1e308], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["support", t, "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 2, result.output
+        assert "not Hermitian within tolerance" in result.output
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10", "--gamma", "arg"])
         digest = report_of(result)["inputs_digest"]
@@ -509,6 +527,23 @@ class TestSample:
         b = runner.invoke(cli, args + ["--workers", "1"]).output
         c = runner.invoke(cli, args + ["--workers", "4"]).output
         assert a == b == c
+
+    def test_huge_state_vector_is_its_ray(self, runner, tmp_path):
+        # the squared norm 2e400 overflows; the ray, its projector and so every row are those of (1, 1)
+        huge = write_vector(tmp_path / "huge.json", [1e200, 1e200])
+        unit = write_vector(tmp_path / "unit.json", [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["sample", huge, "--samples", "2000"])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(cli, ["sample", unit, "--samples", "2000"]).output
+        assert len(result.output.splitlines()) == 2001
+
+    def test_zero_state_vector_rejected(self, runner, tmp_path):
+        zero = write_vector(tmp_path / "zero.json", [0.0, 0.0])
+        result = runner.invoke(cli, ["sample", zero, "--samples", "3"])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"Error: {zero}: the state vector must be nonzero"]
 
     def test_out_file(self, runner, files, tmp_path):
         out = tmp_path / "dump.csv"

@@ -10,13 +10,11 @@ from hobs import (
     DimensionMismatch,
     GammaModel,
     HiddenPoint,
-    IndexOutOfRange,
     NotCommuting,
     NotOrthogonalFamily,
     SHARED_U_CAVEAT,
     build_hidden_observable,
     context_combine,
-    context_observable,
     homomorphism_check,
     joint_diagonalize,
     line_mean,
@@ -25,8 +23,6 @@ from hobs import (
     nogo_witness,
     orthodoxy_reconstruct,
     parse,
-    partition_context,
-    proposition_measure_on_line,
     quantile,
     random_ray,
     spectral_projector,
@@ -131,15 +127,10 @@ class TestJointDiagonalize:
         assert all(float(x).is_integer() for x in ctx.f0.decomposition.eigenvalues)
 
 
-class TestContextObservable:
-    def test_index_out_of_range(self):
-        ctx = joint_diagonalize([op(np.eye(2))], UNIFORM)
-        with pytest.raises(IndexOutOfRange):
-            context_observable(ctx, 1)
-
+class TestContextMembers:
     def test_constant_member(self):
         ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
-        g = context_observable(ctx, 1)
+        g = ctx.members[1]
         rng = np.random.default_rng(1)
         for _ in range(10):
             point = HiddenPoint(ray=random_ray(rng, 2), u=float(rng.uniform(0.01, 0.99)))
@@ -149,7 +140,7 @@ class TestContextObservable:
         rng = np.random.default_rng(2)
         base = random_hermitian(rng, 4)
         ctx = joint_diagonalize([base], UNIFORM, rng=rng)
-        g = context_observable(ctx, 0)
+        g = ctx.members[0]
         for _ in range(10):
             point = HiddenPoint(ray=random_ray(rng, 4), u=float(rng.uniform(0.01, 0.99)))
             label = ctx.f0.evaluate(point)
@@ -158,7 +149,7 @@ class TestContextObservable:
     def test_involution_member_matches_standalone_quantile(self):
         rng = np.random.default_rng(3)
         ctx = joint_diagonalize([op(PAULI_X)], UNIFORM, rng=rng)
-        g = context_observable(ctx, 0)
+        g = ctx.members[0]
         f = build_hidden_observable(op(PAULI_X), UNIFORM)
         psi = state(1, 0)
         for u in rng.uniform(0.01, 0.99, size=25):
@@ -170,7 +161,7 @@ class TestContextObservable:
         family = random_commuting_family(rng, 5, 3)
         ctx = joint_diagonalize(family, UNIFORM, rng=rng)
         for i, member in enumerate(ctx.members):
-            rebuilt = orthodoxy_reconstruct(context_observable(ctx, i), rng=rng)
+            rebuilt = orthodoxy_reconstruct(ctx.members[i], rng=rng)
             scale = max(1.0, np.linalg.norm(member.operator.entries))
             assert np.linalg.norm(rebuilt.entries - member.operator.entries) <= 1e-8 * scale
 
@@ -181,9 +172,7 @@ class TestContextObservable:
         rays = [random_ray(rng, 6) for _ in range(15)]
         for i, member in enumerate(ctx.members):
             standalone = build_hidden_observable(member.operator, UNIFORM)
-            report = statistical_equivalence_check(
-                context_observable(ctx, i), standalone, rays, weight_tol=1e-10
-            )
+            report = statistical_equivalence_check(ctx.members[i], standalone, rays, weight_tol=1e-10)
             assert report.passed, report.failures
 
 
@@ -381,7 +370,7 @@ class TestCompassPolish:
 
 class TestPartitionContext:
     def test_single_full_projector(self):
-        member = partition_context([np.eye(2)], [5.0], UNIFORM)
+        member = context_combine(make_partition_context([np.eye(2)], UNIFORM), [5.0])[0]
         rng = np.random.default_rng(9)
         for _ in range(5):
             point = HiddenPoint(ray=random_ray(rng, 2), u=float(rng.uniform(0.01, 0.99)))
@@ -391,7 +380,7 @@ class TestPartitionContext:
     def test_projector_and_complement(self):
         rng = np.random.default_rng(10)
         E = random_projector(rng, 4, 2)
-        member = partition_context([E, np.eye(4) - E], [1.0, 0.0], UNIFORM)
+        member = context_combine(make_partition_context([E, np.eye(4) - E], UNIFORM), [1.0, 0.0])[0]
         np.testing.assert_allclose(member.operator.entries, E, atol=1e-10)
         for _ in range(10):
             psi = random_ray(rng, 4)
@@ -402,7 +391,7 @@ class TestPartitionContext:
 
     def test_rank_one_basis_family(self):
         projectors = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        member = partition_context(projectors, [1.0, 2.0, 3.0], UNIFORM)
+        member = context_combine(make_partition_context(projectors, UNIFORM), [1.0, 2.0, 3.0])[0]
         np.testing.assert_allclose(member.operator.entries, np.diag([1.0, 2.0, 3.0]), atol=1e-12)
         rebuilt = orthodoxy_reconstruct(member)
         np.testing.assert_allclose(rebuilt.entries, np.diag([1.0, 2.0, 3.0]), atol=1e-8)
@@ -416,7 +405,7 @@ class TestPartitionContext:
         kernel, _ = np.linalg.qr(kernel)
         E2 = np.outer(kernel[:, 0], kernel[:, 0].conj())
         ctx = make_partition_context([E1, E2], UNIFORM)
-        member = ctx.member([2.5, -1.5])
+        member = context_combine(ctx, [2.5, -1.5])[0]
         values = set()
         for _ in range(50):
             point = HiddenPoint(ray=random_ray(rng, 5), u=float(rng.uniform(0.01, 0.99)))
@@ -429,7 +418,7 @@ class TestPartitionContext:
         projectors = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
         ctx = make_partition_context(projectors, UNIFORM)
         psi = random_ray(rng, 4)
-        total = sum(proposition_measure_on_line(L, psi) for L in ctx.propositions)
+        total = sum(line_mean(L, psi) for L in ctx.members)
         from hobs import expectation
 
         combined = validate_hermitian(np.sum(projectors, axis=0))
@@ -440,8 +429,8 @@ class TestPartitionContext:
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         projectors = [basis[:, :1] @ basis[:, :1].conj().T, basis[:, 1:3] @ basis[:, 1:3].conj().T]
         ctx = make_partition_context(projectors, UNIFORM)
-        assert ctx.has_complement
-        S = ctx.generator.decomposition
+        assert ctx.f0.values[0] == 0.0
+        S = ctx.decomposition
         assert np.array_equal(S.eigenvalues, [0.0, 1.0, 2.0])
         family = [np.eye(6) - projectors[0] - projectors[1]] + projectors
         for _ in range(10):
@@ -452,15 +441,37 @@ class TestPartitionContext:
     def test_orthogonality_enforced(self):
         E = np.diag([1.0, 0.0])
         with pytest.raises(NotOrthogonalFamily):
-            partition_context([E, E], [1.0, 2.0], UNIFORM)
+            make_partition_context([E, E], UNIFORM)
 
     def test_zero_projector_rejected(self):
         with pytest.raises(NotOrthogonalFamily):
-            partition_context([np.zeros((2, 2))], [1.0], UNIFORM)
+            make_partition_context([np.zeros((2, 2))], UNIFORM)
 
     def test_non_projector_rejected(self):
         with pytest.raises(NotOrthogonalFamily):
-            partition_context([np.diag([0.5, 0.0])], [1.0], UNIFORM)
+            make_partition_context([np.diag([0.5, 0.0])], UNIFORM)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_combinations_close_exactly(self, dim, complement):
+        # projectors onto consecutive column blocks of a random unitary, leaving the last column out for a complement
+        rng = np.random.default_rng([dim, complement])
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        stop = dim - int(complement)
+        cuts = np.sort(rng.choice(np.arange(1, stop), size=int(rng.integers(0, stop)), replace=False))
+        edges = [0, *cuts.tolist(), stop]
+        projectors = [basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+        ctx = make_partition_context(projectors, UNIFORM)
+        assert (ctx.f0.values[0] == 0.0) == complement
+        report = homomorphism_check(ctx, trials=8, rng=rng)
+        assert report.passed
+        assert report.max_additive_deviation == 0.0
+        assert report.max_multiplicative_deviation == 0.0
+        assert report.max_operator_error <= 1e-8
+        coeffs = rng.uniform(-2.0, 2.0, size=len(projectors))
+        fn, operator = context_combine(ctx, coeffs)
+        assert set(fn.values.tolist()) <= {0.0, *coeffs.tolist()}
+        np.testing.assert_allclose(operator.entries, np.tensordot(coeffs, projectors, axes=1), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_projector_rejected(self, bad):

@@ -32,7 +32,6 @@ from hobs import (
     build_hidden_observable,
     cdf,
     draw_u,
-    evaluate,
     expectation,
     gamma_from_complex,
     line_integral_exact,
@@ -43,7 +42,6 @@ from hobs import (
     orthodoxy_second_moment_gap,
     parse,
     proposition_from_projector,
-    proposition_measure_on_line,
     pushforward_ks,
     quantile,
     random_ray,
@@ -56,7 +54,6 @@ from hobs.kernel import (
     WITNESS_BLOCK,
     _bulk_line_weights,
     _cumulative,
-    _gamma_from_complex_arrays,
     _piece_index,
     _pooled_law,
     _row_search,
@@ -138,7 +135,7 @@ class TestGammaModel:
         axes = np.array([1.0, 5e-324, 1e308])
         z = np.concatenate([z, axes, -axes, np.conj(-axes), 1j * axes, -1j * axes])
         scalar = np.array([gamma_from_complex(point) for point in z])
-        assert np.array_equal(scalar, _gamma_from_complex_arrays(np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)))
+        assert np.array_equal(scalar, gamma_from_complex(z))
 
     @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
     def test_words_map_into_open_interval(self, gamma):
@@ -267,25 +264,25 @@ class TestHiddenObservable:
     def test_eigenstate_is_constant(self):
         f = build_hidden_observable(op(np.diag([1.0, 0.0])), UNIFORM)
         for u in (0.01, 0.5, 0.99):
-            assert evaluate(f, HiddenPoint(ray=state(1, 0), u=u)) == 1.0
+            assert f.evaluate(HiddenPoint(ray=state(1, 0), u=u)) == 1.0
 
     def test_balanced_diagonal_threshold(self):
         f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
         psi = state(1, 1)
-        assert evaluate(f, HiddenPoint(ray=psi, u=0.5)) == -1.0
-        assert evaluate(f, HiddenPoint(ray=psi, u=0.5000001)) == 1.0
+        assert f.evaluate(HiddenPoint(ray=psi, u=0.5)) == -1.0
+        assert f.evaluate(HiddenPoint(ray=psi, u=0.5000001)) == 1.0
 
     def test_pauli_x_threshold_from_cdf_oracle(self):
         f = build_hidden_observable(op(PAULI_X), UNIFORM)
         psi = state(1, 0)
         c = cdf(f.decomposition, psi, -1.0)
-        assert evaluate(f, HiddenPoint(ray=psi, u=c)) == f.decomposition.eigenvalues[0]
-        assert evaluate(f, HiddenPoint(ray=psi, u=c + 1e-12)) == f.decomposition.eigenvalues[1]
+        assert f.evaluate(HiddenPoint(ray=psi, u=c)) == f.decomposition.eigenvalues[0]
+        assert f.evaluate(HiddenPoint(ray=psi, u=c + 1e-12)) == f.decomposition.eigenvalues[1]
 
     def test_dimension_mismatch(self):
         f = build_hidden_observable(op(np.eye(3)), UNIFORM)
         with pytest.raises(DimensionMismatch):
-            evaluate(f, HiddenPoint(ray=state(1, 0), u=0.5))
+            f.evaluate(HiddenPoint(ray=state(1, 0), u=0.5))
 
     def test_value_table_needs_one_entry_per_piece(self):
         f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
@@ -304,8 +301,8 @@ class TestHiddenObservable:
         v = random_unit(rng, 4)
         for z in (2.0, -0.5 + 0.25j, 1j):
             for u in rng.random(10) * 0.98 + 0.01:
-                a = evaluate(f, HiddenPoint(ray=state(*v), u=float(u)))
-                b = evaluate(f, HiddenPoint(ray=state(*(z * v)), u=float(u)))
+                a = f.evaluate(HiddenPoint(ray=state(*v), u=float(u)))
+                b = f.evaluate(HiddenPoint(ray=state(*(z * v)), u=float(u)))
                 assert a == b
 
     def test_line_distribution_partitions_unit_interval(self):
@@ -633,19 +630,19 @@ class TestBatchedReconstruct:
 class TestPropositions:
     def test_full_space(self):
         L = proposition_from_projector(np.eye(2), UNIFORM)
-        assert proposition_measure_on_line(L, state(1, 1j)) == 1.0
+        assert line_mean(L, state(1, 1j)) == 1.0
         assert L.evaluate(HiddenPoint(ray=state(1, 0), u=0.42)) == 1.0
 
     def test_empty_event(self):
         L = proposition_from_projector(np.zeros((2, 2)), UNIFORM)
-        assert proposition_measure_on_line(L, state(1, 1)) == 0.0
+        assert line_mean(L, state(1, 1)) == 0.0
         assert L.evaluate(HiddenPoint(ray=state(1, 0), u=0.42)) == 0.0
 
     def test_rank_one_half_measure(self):
         # <E>_psi = |<(1,1)/sqrt2, (1,0)>|^2 = 1/2
         E = np.full((2, 2), 0.5)
         L = proposition_from_projector(E, UNIFORM)
-        assert proposition_measure_on_line(L, state(1, 0)) == pytest.approx(0.5, abs=1e-12)
+        assert line_mean(L, state(1, 0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_indicator_values_exactly_binary(self):
         rng = np.random.default_rng(4)
@@ -661,7 +658,7 @@ class TestPropositions:
         L = proposition_from_projector(E, UNIFORM)
         for _ in range(10):
             psi = random_ray(rng, 6)
-            assert proposition_measure_on_line(L, psi) == pytest.approx(
+            assert line_mean(L, psi) == pytest.approx(
                 expectation(validate_hermitian(E), psi), abs=1e-12
             )
 
@@ -673,7 +670,7 @@ class TestPropositions:
         total = validate_hermitian(np.sum(projectors, axis=0))
         for _ in range(5):
             psi = random_ray(rng, 6)
-            added = sum(proposition_measure_on_line(L, psi) for L in props)
+            added = sum(line_mean(L, psi) for L in props)
             assert added == pytest.approx(expectation(total, psi), abs=1e-12)
 
     @pytest.mark.parametrize(

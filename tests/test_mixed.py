@@ -20,6 +20,7 @@ from hobs import (
     GammaModel,
     HiddenMixedState,
     SampleStream,
+    StateVector,
     apply_borel,
     build_hidden_observable,
     density_from_ensemble,
@@ -60,8 +61,8 @@ class TestEnsemble:
         ens = Ensemble(weights=np.array([1.0]), rays=np.array([[3.0, 4.0]], dtype=complex))
         assert np.linalg.norm(ens.rays[0]) == pytest.approx(1.0, abs=1e-15)
 
-    def test_of_components(self):
-        ens = Ensemble.of([(0.25, state(1, 0)), (0.75, state(0, 2))])
+    def test_weights_and_rays(self):
+        ens = Ensemble(weights=[0.25, 0.75], rays=[[1, 0], [0, 2]])
         assert np.array_equal(ens.weights, [0.25, 0.75])
         assert ens.dim == 2
 
@@ -87,17 +88,17 @@ class TestDensityCorrespondence:
             assert sorted(row) == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_single_component_rebuilds_projector(self):
-        ens = Ensemble.of([(1.0, state(1, 1j))])
+        ens = Ensemble(weights=[1.0], rays=[[1, 1j]])
         D = density_from_ensemble(ens)
         np.testing.assert_allclose(D.entries, np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-15)
 
     def test_orthonormal_pair_gives_maximally_mixed(self):
-        ens = Ensemble.of([(0.5, state(1, 0)), (0.5, state(0, 1))])
+        ens = Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [0, 1]])
         np.testing.assert_allclose(density_from_ensemble(ens).entries, np.eye(2) / 2, atol=1e-15)
 
     def test_non_orthogonal_pair_hand_value(self):
         # 1/2 |e1><e1| + 1/2 |(1,1)/sqrt2><...| = [[3,1],[1,1]]/4
-        ens = Ensemble.of([(0.5, state(1, 0)), (0.5, state(1, 1))])
+        ens = Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [1, 1]])
         np.testing.assert_allclose(
             density_from_ensemble(ens).entries, np.array([[3.0, 1.0], [1.0, 1.0]]) / 4.0, atol=1e-15
         )
@@ -144,7 +145,7 @@ class TestExactClassicalMean:
         # two mixtures with the same density matrix must agree on every mean
         rng = np.random.default_rng(101)
         eigen = ensemble_from_density(DensityMatrix(entries=np.eye(2) / 2))
-        rotated = Ensemble.of([(0.5, state(1, 1)), (0.5, state(1, -1))])
+        rotated = Ensemble(weights=[0.5, 0.5], rays=[[1, 1], [1, -1]])
         np.testing.assert_allclose(
             density_from_ensemble(eigen).entries, density_from_ensemble(rotated).entries, atol=1e-12
         )
@@ -191,7 +192,7 @@ class TestSampleStream:
 
 class TestSampleHidden:
     def test_single_component_stays_on_ray(self):
-        mu = HiddenMixedState(ensemble=Ensemble.of([(1.0, state(1, 1j))]), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1j]]), gamma=UNIFORM)
         points = sample_hidden(mu, SampleStream(seed=3), 100)
         ref = points[0].ray.components
         for p in points:
@@ -207,7 +208,7 @@ class TestSampleHidden:
     def test_component_counts_within_binomial_bound(self):
         n = 100000
         mu = HiddenMixedState(
-            ensemble=Ensemble.of([(0.5, state(1, 0)), (0.5, state(0, 1))]), gamma=UNIFORM
+            ensemble=Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [0, 1]]), gamma=UNIFORM
         )
         stream = SampleStream(seed=2024)
         from hobs.mixed import _draw_block
@@ -243,7 +244,7 @@ class TestMcEstimate:
     def test_zero_mean_unit_variance_bound(self):
         n = 1_000_000
         f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
-        mu = HiddenMixedState(ensemble=Ensemble.of([(1.0, state(1, 1))]), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1]]), gamma=UNIFORM)
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=7), n)
         assert abs(est.mean) <= 4.0 / np.sqrt(n)
         assert est.std_error == pytest.approx(1.0 / np.sqrt(n), rel=1e-2)
@@ -302,9 +303,9 @@ class TestBlockValues:
         assert mu.ensemble.size == 32
         k, u, values = _block_values(f, mu, SampleStream(seed=3), 0, 20000)
         assert set(np.unique(k)) == set(range(32))
-        for comp, psi in enumerate(mu.ensemble.component_states()):
+        for comp, row in enumerate(mu.ensemble.rays):
             mask = k == comp
-            assert np.array_equal(values[mask], f.values_on_line(psi, u[mask]))
+            assert np.array_equal(values[mask], f.values_on_line(StateVector(components=row), u[mask]))
 
 
 def masked_block_values(f, mu, stream, start, count):

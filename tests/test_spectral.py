@@ -97,7 +97,7 @@ class TestSpectralDecompose:
         T = random_hermitian(rng, dim)
         S = spectral_decompose(T)
         scale = np.linalg.norm(T.entries)
-        assert np.linalg.norm(S.reconstruct() - T.entries) <= 1e-10 * max(1.0, scale)
+        assert np.linalg.norm(S.operator_with_values(S.eigenvalues) - T.entries) <= 1e-10 * max(1.0, scale)
         assert np.all(np.diff(S.eigenvalues) > 0)
         total = np.zeros((dim, dim), dtype=complex)
         projectors = eigenspace_projectors(S)
