@@ -38,6 +38,7 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _binary_scale,
     _cluster_offsets,
     _readonly,
     _relative_error,
@@ -157,7 +158,7 @@ def line_weights(S: SpectralDecomposition, psi: StateVector) -> np.ndarray:
     """Spectral weights p_i = ||P_i psi||^2 / ||psi||^2 on the line of psi."""
     if S.dim != psi.dim:
         raise DimensionMismatch(f"dimension mismatch: {S.dim} vs {psi.dim}")
-    v = psi.components
+    v = _binary_scale(psi.components) * psi.components  # a power of two: no square overflows or underflows to 0
     return _bulk_line_weights(S, v) / np.vdot(v, v).real
 
 
@@ -333,8 +334,8 @@ def line_integral_exact(f: HiddenObservable, b, psi: StateVector) -> float:
 
 
 def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector) -> float:
-    """Exact mean over the line of psi: the mean on the raw row over its squared norm, as line_weights divides."""
-    v = psi.components
+    """Exact mean over the line of psi: the mean on the binary-scaled row over its squared norm, as line_weights divides."""
+    v = _binary_scale(psi.components) * psi.components
     return float(h.line_means(v[None])[0] / np.vdot(v, v).real)
 
 

@@ -144,8 +144,9 @@ def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
 
 
 def _binary_scale(m: np.ndarray) -> float:
-    # 2^-k taking m's largest real or imaginary part into [1/2, 1): norm tests on copies scaled by it cannot overflow
-    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(m.view(float))))[1]))
+    # 2^-k taking m's largest real or imaginary part into [1/2, 1): norm tests on copies scaled by it cannot overflow;
+    # for a part below 2^-1024 (a subnormal) the scale stops at 2^1023, the largest finite one, and lifts it to >= 2^-51
+    return float(np.ldexp(1.0, min(-int(np.frexp(np.max(np.abs(m.view(float))))[1]), 1023)))
 
 
 def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
@@ -238,7 +239,7 @@ def _check_dims(a: int, b: int) -> None:
 def expectation(T: HermitianOperator, psi: StateVector) -> float:
     """<T psi, psi> / <psi, psi>; depends only on the ray of psi."""
     _check_dims(T.dim, psi.dim)
-    v = psi.components
+    v = _binary_scale(psi.components) * psi.components  # a power of two: <v, v> neither overflows nor underflows to 0
     num = np.vdot(v, T.entries @ v).real
     return float(num / np.vdot(v, v).real)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
-from hobs.cli import _digest, _emit_report, cli
+from hobs.cli import _digest, _emit_report, _load_complex, cli
 
 
 def write_matrix(path, matrix):
@@ -529,15 +529,18 @@ class TestSample:
         assert a == b == c
 
     def test_huge_state_vector_is_its_ray(self, runner, tmp_path):
-        # the squared norm 2e400 overflows; the ray, its projector and so every row are those of (1, 1)
-        huge = write_vector(tmp_path / "huge.json", [1e200, 1e200])
+        # the squared norm 2e400 overflows, and a subnormal's needs a scale beyond 2^1023; the ray,
+        # its projector and so every row are those of (1, 1)
         unit = write_vector(tmp_path / "unit.json", [1.0, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # as under python -W error
-            result = runner.invoke(cli, ["sample", huge, "--samples", "2000"])
-        assert result.exit_code == 0, result.output
-        assert result.output == runner.invoke(cli, ["sample", unit, "--samples", "2000"]).output
-        assert len(result.output.splitlines()) == 2001
+        expected = runner.invoke(cli, ["sample", unit, "--samples", "2000"]).output
+        for magnitude in (1e200, 1e-310):
+            far = write_vector(tmp_path / "far.json", [magnitude, magnitude])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as under python -W error
+                result = runner.invoke(cli, ["sample", far, "--samples", "2000"])
+            assert result.exit_code == 0, result.output
+            assert result.output == expected
+            assert len(result.output.splitlines()) == 2001
 
     def test_zero_state_vector_rejected(self, runner, tmp_path):
         zero = write_vector(tmp_path / "zero.json", [0.0, 0.0])
@@ -598,13 +601,101 @@ class TestInputValidation:
         path.write_text("[[[1" + "0" * 400 + ",0],[0,0]],[[0,0],[1,0]]]")
         result = runner.invoke(cli, ["support", str(path), "--samples", "10", "--rays", "2"])
         assert result.exit_code == 2, result.output
-        assert result.output.splitlines() == [f"Error: {path}: malformed numeric data: int too large to convert to float"]
+        assert result.output.splitlines() == [
+            f"Error: {path} is not valid JSON: number is infinity when parsed as double: line 1 column 4 (char 3)"
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(b"[[[01,0],[0,0]],[[0,0],[1,0]]]", id="leading-zero"),
+            pytest.param(b"[[[1.,0],[0,0]],[[0,0],[1,0]]]", id="bare-point"),
+            pytest.param(b"[[[.5,0],[0,0]],[[0,0],[1,0]]]", id="no-integer-part"),
+            pytest.param(b"[[[+1,0],[0,0]],[[0,0],[1,0]]]", id="plus-sign"),
+            pytest.param(b"[[[1,0],[0,0],],[[0,0],[1,0]]]", id="trailing-comma"),
+            pytest.param(b"\xef\xbb\xbf[[[1,0],[0,0]],[[0,0],[1,0]]]", id="leading-bom"),
+            pytest.param(b"[[[1,0],[0,0]],[[0,0],[1,0]]]\x00", id="trailing-nul"),
+            pytest.param(b"[[[1,0]]]\xff", id="invalid-utf8"),
+            pytest.param(b"[[[NaN,0],[0,0]],[[0,0],[1,0]]]", id="nan"),
+            pytest.param(b"[[[Infinity,0],[0,0]],[[0,0],[1,0]]]", id="infinity"),
+            pytest.param(b"[[[-Infinity,0],[0,0]],[[0,0],[1,0]]]", id="minus-infinity"),
+            pytest.param(b"[[[1e400,0],[0,0]],[[0,0],[1,0]]]", id="overflowing-exponent"),
+            pytest.param(b"[[[-1" + b"0" * 400 + b",0],[0,0]],[[0,0],[1,0]]]", id="400-digit-integer"),
+            pytest.param(b"[[[1,0],[0,0]],[[0,0]]]", id="ragged-rows"),
+            pytest.param(b"[[[1,0],[0,0]],[[0,0],[1]]]", id="ragged-pair"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+        ],
+    )
+    def test_malformed_json_is_input_error(self, runner, tmp_path, text):
+        # each exits 2 with one line; invalid UTF-8 and deep nesting used to end in a traceback with exit 1
+        path = tmp_path / "T.json"
+        path.write_bytes(text)
+        result = runner.invoke(cli, ["support", str(path), "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith(f"Error: {path}")
 
     def test_zero_vector_is_input_error(self, runner, tmp_path):
         path = write_vector(tmp_path / "zero.json", [0.0, 0.0])
         result = runner.invoke(cli, ["sample", path, "--samples", "3"])
         assert result.exit_code == 2
         assert "nan" not in result.output
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+_SUBNORMALS = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
+
+
+@st.composite
+def _number_spelling(draw):
+    """One JSON number, spelled as repr, %.17g, %.25e, an integer literal, a signed zero, an underflow or a subnormal."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(
+        st.one_of(
+            finite.map(repr),
+            finite.map(lambda x: "%.17g" % x),
+            finite.map(lambda x: "%.25e" % x),
+            st.integers(-(10**30), 10**30).map(str),
+            st.sampled_from(["-0", "-0e0", "1e-400", "-1e-400"]),
+            _SUBNORMALS.map(repr),
+            _SUBNORMALS.map(lambda x: "%.25e" % x),
+        )
+    )
+
+
+@st.composite
+def _number_file(draw):
+    """The text of a d x d matrix or d-vector file of [re, im] pairs, with random whitespace between tokens."""
+    dim = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(dim, dim), (dim,)]))
+
+    def token(text):
+        return draw(_WHITESPACE) + text + draw(_WHITESPACE)
+
+    def array(items):
+        return token("[" + ",".join(items) + "]")
+
+    def pair():
+        return array([token(draw(_number_spelling())), token(draw(_number_spelling()))])
+
+    if len(shape) == 1:
+        return array([pair() for _ in range(dim)])
+    return array([array([pair() for _ in range(dim)]) for _ in range(dim)])
+
+
+class TestLoaderDifferential:
+    """The loader's doubles against the standard library's parser, bit for bit."""
+
+    @given(text=_number_file())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_loaded_pairs_equal_stdlib_parse(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.json"
+            path.write_text(text)
+            pairs = _load_complex(str(path))[0]
+        expected = np.asarray(json.loads(text), dtype=float)
+        assert pairs.dtype == expected.dtype and pairs.shape == expected.shape
+        assert pairs.tobytes() == expected.tobytes()
 
 
 def _corrupt(path, flat_index, part, bad):

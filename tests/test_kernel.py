@@ -737,6 +737,49 @@ class TestLineWeightsFromEigenvectorBlocks:
         self.check(S, projectors, rng)
 
 
+class TestExtremeRayMagnitudes:
+    """line_weights, line_mean and expectation read the ray binary-scaled, so its length cannot overflow them."""
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e-310])
+    def test_huge_and_tiny_rays_equal_the_unit_ray(self, magnitude):
+        T = op(np.diag([1.0, 2.0]))
+        f = build_hidden_observable(T, UNIFORM)
+        unit = StateVector(components=np.array([1.0, 1.0]) / math.sqrt(2.0))
+        far = state(magnitude, magnitude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error: the squared norm overflowed, or underflowed to 0
+            np.testing.assert_allclose(line_weights(f.decomposition, far), line_weights(f.decomposition, unit), rtol=1e-15)
+            assert line_mean(f, far) == pytest.approx(line_mean(f, unit), rel=1e-15)
+            assert expectation(T, far) == pytest.approx(expectation(T, unit), rel=1e-15)
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_random_ray_at_extreme_magnitude(self, magnitude):
+        rng = np.random.default_rng(5)
+        T = random_hermitian(rng, 3)
+        f = build_hidden_observable(T, UNIFORM)
+        unit = StateVector(components=random_unit(rng, 3))
+        far = StateVector(components=magnitude * unit.components)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(line_weights(f.decomposition, far), line_weights(f.decomposition, unit), rtol=1e-14, atol=1e-15)
+            assert line_mean(f, far) == pytest.approx(line_mean(f, unit), rel=1e-14, abs=1e-15)
+            assert expectation(T, far) == pytest.approx(expectation(T, unit), rel=1e-14, abs=1e-15)
+
+    def test_in_range_rays_keep_the_unscaled_bits(self):
+        # a power-of-two scale multiplies numerator and denominator by the same power of four, exactly
+        rng = np.random.default_rng(6)
+        for dim in (1, 2, 3, 5, 8):
+            T = random_hermitian(rng, dim)
+            f = build_hidden_observable(T, UNIFORM)
+            for _ in range(50):
+                v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-60, 60)
+                psi = StateVector(components=v)
+                norm2 = np.vdot(v, v).real
+                assert np.array_equal(line_weights(f.decomposition, psi), _bulk_line_weights(f.decomposition, v) / norm2)
+                assert line_mean(f, psi) == float(f.line_means(v[None])[0] / norm2)
+                assert expectation(T, psi) == float(np.vdot(v, T.entries @ v).real / norm2)
+
+
 class TestStatisticalEquivalence:
     def test_same_observable(self):
         rng = np.random.default_rng(2)
