@@ -6,23 +6,25 @@ weighted sum of ray projectors; means of observable functions against
 the mixture equal operator traces against that matrix, exactly for the
 finite sums computed here and statistically for the sampling paths.
 
-Sampling follows a counter-based contract: sample i consumes exactly
-the four 64-bit words at counter block i of a Philox stream keyed by
-the seed, and reductions merge per-block centred moments of fixed-size
-blocks in index order.  Serial and worker-parallel runs therefore
-produce bit-identical results for any worker count.
+Sampling follows a seekable-stream contract: sample i consumes exactly
+the 64-bit words 4i..4i+3 of a PCG64DXSM stream seeded by the seed,
+reached by advancing the stream, so any block of samples is drawn on
+its own.  Every sampled value of b(f) is b at one of the m pieces of f,
+so a Monte Carlo estimate reduces its samples to exact integer counts
+per piece, and its mean and spread follow from m counts.  Serial and
+worker-parallel runs therefore produce bit-identical results for any
+worker count and block size.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
 
 from .errors import DimensionMismatch, EigensolverFailure
 from .kernel import (
@@ -30,6 +32,8 @@ from .kernel import (
     HiddenObservable,
     HiddenPoint,
     _bulk_line_weights,
+    _cumulative,
+    _piece_counts,
     _quantile_values,
     _row_search,
     u_from_words,
@@ -38,7 +42,9 @@ from .spectral import DensityMatrix, StateVector, function_values
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-WORDS_PER_SAMPLE = 4  # one Philox counter block per sample
+# words 0-2 pick the component and feed u; the unused fourth keeps a block's word array the size that
+# measured no page faults per block (three words made the heap top shrink and fault back in each block)
+WORDS_PER_SAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,10 @@ def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
 class SampleStream:
     """Reproducible sample randomness keyed by a 64-bit seed.
 
-    Sample i reads the Philox counter block i, so any contiguous range
-    of samples can be generated independently of how the range is
-    partitioned across workers.
+    Sample i reads words 4i..4i+3 of one PCG64DXSM stream seeded by
+    `seed`; `advance` jumps to any sample in O(log n) steps, so any
+    contiguous range of samples can be generated independently of how
+    the range is partitioned across workers.
     """
 
     seed: int
@@ -143,8 +150,8 @@ class SampleStream:
 
     def raw_words(self, start: int, count: int) -> np.ndarray:
         """Uniform [0,1) words for samples [start, start+count), shape (count, 4)."""
-        bg = Philox(key=self.seed)
-        bg.advance(start)
+        bg = PCG64DXSM(self.seed)
+        bg.advance(WORDS_PER_SAMPLE * start)
         return Generator(bg).random((count, WORDS_PER_SAMPLE))
 
     def blocks(self, n: int):
@@ -199,15 +206,6 @@ class McEstimate:
     n_samples: int
 
 
-def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Chan-Golub-LeVeque update: (count, mean, M2) of two sample sets joined."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
-
-
 def mc_estimate(
     f: HiddenObservable,
     b,
@@ -219,32 +217,34 @@ def mc_estimate(
 ) -> McEstimate:
     """Sample mean and CLT standard error of b(f) over n draws from mu.
 
-    Each block contributes its centred moments (count, mean, M2), which
-    are merged in block order, so the result does not depend on the
-    worker count and the variance does not cancel when the mean is large
-    against the spread.
+    Each block adds the bincount of its samples' quantile pieces to m
+    integer counts c, so the result depends on neither the worker count
+    nor the block size.  With x = b(values) and d = x - x[0],
+
+        mean = x[0] + (c @ d) / n,   M2 = c @ (d - (c @ d) / n)^2,
+
+    and the standard error is sqrt(M2 / (n - 1) / n).  The shift by x[0]
+    keeps M2 of a constant b exactly 0 and stops the variance cancelling
+    when the mean is large against the spread; overflow leaves it
+    non-finite.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if f.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {mu.dim}")
+    cumulative = _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
 
-    def block_moments(block):
-        start, count = block
-        _, _, values = _block_values(f, mu, stream, start, count)
-        x = np.asarray(b(values), dtype=float)
-        if x.shape != values.shape:  # constant callables may collapse the shape
-            x = np.broadcast_to(x, values.shape)
-        # shifting by the first value keeps a constant block's M2 exactly 0; overflow leaves it non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = x - x[0]
-            shifted_mean = np.mean(shifted)
-            centred = shifted - shifted_mean
-            return count, float(x[0] + shifted_mean), float(np.sum(centred * centred))
+    def block_counts(block):
+        k, u = _draw_block(mu, stream, *block)
+        return _piece_counts(cumulative, u, k)
 
-    _, mean, m2 = functools.reduce(_merge_moments, _map_blocks(block_moments, stream, n, workers))
-    variance = m2 / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(variance / n), n_samples=n)
+    counts = sum(_map_blocks(block_counts, stream, n, workers))
+    x = function_values(b, f.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - x[0]
+        shift = (counts @ d) / n
+        m2 = counts @ (d - shift) ** 2
+    return McEstimate(mean=float(x[0] + shift), std_error=math.sqrt(m2 / (n - 1) / n), n_samples=n)
 
 
 def dump_samples_csv(

@@ -187,9 +187,9 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * scale)
     sizes = np.diff(offsets, append=len(w))
-    # a cluster sum of the copy scaled by 2^-k, 2^k >= the largest cluster size, cannot overflow;
-    # power-of-two scaling is exact above the subnormals, and k = 0 when no eigenvalues merge
-    k = int(sizes.max() - 1).bit_length()
+    # a cluster sum of the copy scaled by 2^-k, 2^k >= the largest cluster size, cannot overflow; k = 0 unless
+    # a sum could reach 2^1023, since power-of-two scaling is exact only above the subnormals
+    k = int(sizes.max() - 1).bit_length() if scale * int(sizes.max()) >= 2.0**1023 else 0
     means = np.ldexp(np.add.reduceat(np.ldexp(w, -k), offsets) / sizes, k)
     return SpectralDecomposition(eigenvalues=means, vectors=v, offsets=offsets)
 

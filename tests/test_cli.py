@@ -276,6 +276,15 @@ class TestSupport:
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["eigenvalues"] == [1.7e308]
 
+    def test_repeated_subnormal_eigenvalue(self, runner, tmp_path):
+        # summing the cluster from a copy halved by ldexp would round it to 1.00000000000005e-310
+        t = write_matrix(tmp_path / "T.json", np.diag([1e-310, 1e-310]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["support", t, "--samples", "4", "--rays", "2"])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["eigenvalues"] == [1e-310]
+
     def test_huge_skew_operator_rejected_without_overflow(self, runner, tmp_path):
         # m - m^H would overflow to inf; the skew part is the fault to report
         t = write_matrix(tmp_path / "T.json", [[0.0, 1e308], [-1e308, 0.0]])

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -27,6 +28,7 @@ from hobs import (
     dump_samples_csv,
     ensemble_from_density,
     exact_classical_mean,
+    function_values,
     hidden_state_measure,
     mc_estimate,
     parse,
@@ -295,13 +297,67 @@ class TestMcEstimate:
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
 
 
+def block_piece_counts(f, mu, stream, n):
+    """Per-piece counts of n samples, rebuilt from the values _block_values gives each block."""
+    counts = np.zeros(f.values.size, dtype=np.int64)
+    for start, count in stream.blocks(n):
+        values = _block_values(f, mu, stream, start, count)[2]
+        counts += np.bincount(np.searchsorted(f.values, values), minlength=f.values.size)
+    return counts
+
+
+class TestCountReduction:
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimate_is_the_count_formula_for_any_partition(self, seed, gamma):
+        rng = np.random.default_rng([93, seed])
+        dim = int(rng.integers(2, 7))
+        f = build_hidden_observable(random_hermitian(rng, dim), gamma)
+        mu = mixed(random_density(rng, dim), gamma=gamma)
+        b = parse(random_expression_text(rng, depth=3))
+        n = 150_001  # a multiple of neither block size
+        c = block_piece_counts(f, mu, SampleStream(seed=seed), n)
+        assert c.sum() == n
+        x = function_values(b, f.values)
+        d = x - x[0]
+        mean = x[0] + (c @ d) / n
+        std_error = math.sqrt(c @ (d - (c @ d) / n) ** 2 / (n - 1) / n)
+        estimates = [
+            mc_estimate(f, b, mu, SampleStream(seed=seed, block_size=block_size), n, workers=workers)
+            for block_size, workers in [(65536, 1), (65536, 2), (65536, 3), (100, 1), (100, 3)]
+        ]
+        for est in estimates:
+            assert (est.mean, est.std_error) == (mean, std_error)
+
+
+class TestStreamFit:
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    def test_piece_counts_and_u_column_fit_their_laws(self, gamma):
+        from scipy import stats
+        rng = np.random.default_rng(4)
+        f = build_hidden_observable(random_hermitian(rng, 4), gamma)
+        mu = mixed(random_density(rng, 4), gamma=gamma)
+        n = 1_000_000
+        buf = io.StringIO()
+        dump_samples_csv(f, mu, SampleStream(seed=19), n, buf)
+        table = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
+        counts = block_piece_counts(f, mu, SampleStream(seed=19), n)
+        assert np.array_equal(counts, np.bincount(np.searchsorted(f.values, table[:, 2]), minlength=f.values.size))
+        # the exact law of a piece: sum over components k of w_k times the piece's weight on ray k
+        law = mu.ensemble.weights @ _bulk_line_weights(f.decomposition, mu.ensemble.rays)
+        assert stats.chisquare(counts, n * law / law.sum()).pvalue > 1e-6
+        assert stats.kstest(table[:, 1], "uniform").pvalue > 1e-6
+
+
 class TestBlockValues:
     def test_matches_values_on_line_per_component(self):
         rng = np.random.default_rng(32)
         f = build_hidden_observable(random_hermitian(rng, 32), UNIFORM)
         mu = mixed(random_density(rng, 32))
         assert mu.ensemble.size == 32
-        k, u, values = _block_values(f, mu, SampleStream(seed=3), 0, 20000)
+        # the smallest component weight is 5.7e-5: 400,000 draws expect about 23 of it, and miss it with
+        # probability about 1e-10 under any stream
+        k, u, values = _block_values(f, mu, SampleStream(seed=3), 0, 400000)
         assert set(np.unique(k)) == set(range(32))
         for comp, row in enumerate(mu.ensemble.rays):
             mask = k == comp

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,22 @@ class TestSpectralDecompose:
         S = spectral_decompose(op(np.diag([1.0, 1.0 + 1e-12, 2.0])))
         assert len(S.eigenvalues) == 2
         assert np.trace(eigenspace_projectors(S)[0]).real == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "diagonal, eigenvalues",
+        [
+            ([1e-310, 1e-310], [1e-310]),
+            ([1.0, 1e-310, 1e-310], [1e-310, 1.0]),
+            ([1.7e308, 1.7e308], [1.7e308]),
+        ],
+        ids=["subnormal-pair", "subnormal-pair-beside-one", "pair-near-largest-double"],
+    )
+    def test_repeated_eigenvalue_keeps_its_bits(self, diagonal, eigenvalues):
+        # only a cluster whose sum could overflow is scaled by a power of two, which rounds a subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            S = spectral_decompose(validate_hermitian(np.diag(diagonal)))
+        assert S.eigenvalues.tolist() == eigenvalues
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_roundtrip_and_invariants(self, dim):
