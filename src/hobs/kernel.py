@@ -197,11 +197,6 @@ def _piece_index(cumulative: np.ndarray, u, rows=None) -> np.ndarray:
     return _row_search(cumulative, u, rows)
 
 
-def _piece_counts(cumulative: np.ndarray, u, rows=None) -> np.ndarray:
-    """How many points land in each piece: the bincount of their quantile pieces, one entry per column."""
-    return np.bincount(_piece_index(cumulative, u, rows), minlength=cumulative.shape[-1])
-
-
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     # clip before pinning the top so the array stays sorted even when
     # rounding pushes a partial sum a few ulp past 1

@@ -26,6 +26,7 @@ from typing import IO
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
 
+from . import kernel
 from .errors import DimensionMismatch, EigensolverFailure
 from .kernel import (
     GammaModel,
@@ -33,7 +34,6 @@ from .kernel import (
     HiddenPoint,
     _bulk_line_weights,
     _cumulative,
-    _piece_counts,
     _quantile_values,
     _row_search,
     u_from_words,
@@ -218,15 +218,17 @@ def mc_estimate(
     """Sample mean and CLT standard error of b(f) over n draws from mu.
 
     Each block adds the bincount of its samples' quantile pieces to m
-    integer counts c, so the result depends on neither the worker count
-    nor the block size.  With x = b(values) and d = x - x[0],
+    integer counts, so the result depends on neither the worker count
+    nor the block size.  Over the pieces that were sampled, with counts
+    c, x = b(values) and d = x - x[0],
 
         mean = x[0] + (c @ d) / n,   M2 = c @ (d - (c @ d) / n)^2,
 
     and the standard error is sqrt(M2 / (n - 1) / n).  The shift by x[0]
     keeps M2 of a constant b exactly 0 and stops the variance cancelling
     when the mean is large against the spread; overflow leaves it
-    non-finite.
+    non-finite.  b is evaluated only at sampled pieces and must be finite
+    there (EvaluationError otherwise).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -236,10 +238,14 @@ def mc_estimate(
 
     def block_counts(block):
         k, u = _draw_block(mu, stream, *block)
-        return _piece_counts(cumulative, u, k)
+        # called through the module so that perfbench's tracer, which patches kernel._piece_index, sees it
+        return np.bincount(kernel._piece_index(cumulative, u, k), minlength=cumulative.shape[-1])
 
     counts = sum(_map_blocks(block_counts, stream, n, workers))
-    x = function_values(b, f.values)
+    # unsampled pieces are left out: a zero count times an overflowed square would make M2 NaN
+    seen = np.flatnonzero(counts)
+    counts = counts[seen]
+    x = function_values(b, f.values[seen])
     with np.errstate(over="ignore", invalid="ignore"):
         d = x - x[0]
         shift = (counts @ d) / n

@@ -108,6 +108,18 @@ class TestVerifyTrace:
         assert result.exit_code == 0
         assert report_of(result)["results"]["trace"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_huge_integrand_on_a_zero_weight_piece(self, runner, tmp_path):
+        # D puts no weight on T's eigenvalue 1, where 1e200*x would overflow the squared offset
+        t = write_matrix(tmp_path / "T.json", np.diag([0.0, 1.0]))
+        d = write_matrix(tmp_path / "D.json", np.diag([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["verify-trace", t, d, "1e200*x"])
+        assert result.exit_code == 0, result.output
+        report = report_of(result)
+        assert report["pass"] is True
+        assert [report["results"][key] for key in ("mc_mean", "mc_std_error", "mc_z_score")] == [0.0, 0.0, 0.0]
+
     def test_report_keys_sorted(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
         keys = list(json.loads(result.output).keys())

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hobs import (
     DensityMatrix,
     DimensionMismatch,
     Ensemble,
+    EvaluationError,
     GammaModel,
     HiddenMixedState,
     SampleStream,
@@ -290,6 +292,25 @@ class TestMcEstimate:
         assert est.std_error == pytest.approx(np.sqrt(1.25 / n), rel=1e-2)
         assert abs(est.mean - (1e8 + 1.5)) <= 4.0 * est.std_error
 
+    def test_unsampled_piece_with_huge_value(self):
+        # piece 1 has line weight 0; a zero count times its overflowed squared offset would make M2 NaN
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
+        mu = mixed(DensityMatrix(entries=np.diag([1.0, 0.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            est = mc_estimate(f, parse("1e200*x"), mu, SampleStream(seed=0), 10000)
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+
+    def test_b_is_evaluated_only_at_sampled_pieces(self):
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
+        b = lambda x: np.where(x > 0, 1.0, np.inf)  # noqa: E731
+        on_one = mixed(DensityMatrix(entries=np.diag([0.0, 1.0])))
+        est = mc_estimate(f, b, on_one, SampleStream(seed=0), 10000)
+        assert (est.mean, est.std_error) == (1.0, 0.0)
+        on_zero = mixed(DensityMatrix(entries=np.diag([1.0, 0.0])))
+        with pytest.raises(EvaluationError):
+            mc_estimate(f, b, on_zero, SampleStream(seed=0), 10000)
+
     def test_requires_two_samples(self):
         f = build_hidden_observable(op(np.eye(2)), UNIFORM)
         mu = mixed(DensityMatrix(entries=np.eye(2) / 2))
@@ -318,7 +339,9 @@ class TestCountReduction:
         n = 150_001  # a multiple of neither block size
         c = block_piece_counts(f, mu, SampleStream(seed=seed), n)
         assert c.sum() == n
-        x = function_values(b, f.values)
+        seen = c > 0
+        c = c[seen]
+        x = function_values(b, f.values[seen])
         d = x - x[0]
         mean = x[0] + (c @ d) / n
         std_error = math.sqrt(c @ (d - (c @ d) / n) ** 2 / (n - 1) / n)
