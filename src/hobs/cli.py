@@ -341,7 +341,7 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
             ctx = joint_diagonalize(family, gamma, rng=rng)
         except NotCommuting as exc:
             return {"branch": "not-commuting", "detail": str(exc)}, False
-        report = homomorphism_check(ctx, trials=trials, rng=rng)
+        report = homomorphism_check(ctx, trials=trials, rng=rng, operator_tol=tolerance)
         results = {
             "branch": "context",
             "max_operator_error": report.max_operator_error,

@@ -50,6 +50,8 @@ from .kernel import (
 from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
+    _binary_scale,
+    _cluster_means,
     _cluster_offsets,
     _relative_error,
     commutes,
@@ -120,25 +122,27 @@ def joint_diagonalize(
             if not commutes(ops[i], ops[j]):
                 raise NotCommuting(f"family members {i} and {j} do not commute within tolerance")
     rng = rng if rng is not None else np.random.default_rng(0)
+    # the combination is taken of copies scaled by a power of two s, so it cannot overflow;
+    # its clusters are those at JOINT_DIAG_TOL * max(1, max|w|) in unscaled units
+    s = min(_binary_scale(op.entries) for op in ops)
+    scaled = [s * op.entries for op in ops]
 
     last_error = 0.0
     for _ in range(retries):
         coeffs = rng.uniform(1.0, 2.0, size=len(ops))
-        combo = np.tensordot(coeffs, [op.entries for op in ops], axes=1)
+        combo = np.tensordot(coeffs, scaled, axes=1)
         # a scalar shift moves no eigenspace; without this one, a large common
         # offset would set the cluster tolerance and merge distinct joint eigenspaces
         combo = combo - np.trace(combo).real / dim * np.eye(dim)
         w, v = np.linalg.eigh((combo + combo.conj().T) / 2.0)
-        offsets = _cluster_offsets(w, JOINT_DIAG_TOL * max(1.0, float(np.max(np.abs(w)))))
-        sizes = np.diff(offsets, append=len(w))
+        offsets = _cluster_offsets(w, JOINT_DIAG_TOL * max(s, float(np.max(np.abs(w)))))
         labels = np.arange(1, len(offsets) + 1, dtype=float)
         decomposition = SpectralDecomposition(eigenvalues=labels, vectors=v, offsets=offsets)
 
         transfers = []
         worst = 0.0
         for op in ops:
-            diag = np.diag(v.conj().T @ op.entries @ v).real
-            table = np.add.reduceat(diag, offsets) / sizes
+            table = _cluster_means(np.diag(v.conj().T @ op.entries @ v).real, offsets)[0]
             rebuilt = decomposition.operator_with_values(table)
             worst = max(worst, _relative_error(rebuilt, op.entries))
             transfers.append(table)

@@ -39,6 +39,7 @@ from .spectral import (
     SpectralDecomposition,
     StateVector,
     _binary_scale,
+    _cluster_means,
     _cluster_offsets,
     _readonly,
     _relative_error,
@@ -495,11 +496,8 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
     if _relative_error(E @ E, E) > PROJECTOR_TOL:
         raise NotAProjector("matrix is not idempotent within tolerance")
     w, vectors = np.linalg.eigh(E)
-    kernel_dim = int(np.searchsorted(w, 0.5))  # eigenvalues near 0 come first
-    if kernel_dim in (0, E.shape[0]):
-        S = SpectralDecomposition(eigenvalues=[float(kernel_dim == 0)], vectors=vectors, offsets=[0])
-    else:
-        S = SpectralDecomposition(eigenvalues=[0.0, 1.0], vectors=vectors, offsets=[0, kernel_dim])
+    offsets = _cluster_offsets(w, 0.5)  # the eigenvalues near 0, then those near 1
+    S = SpectralDecomposition(eigenvalues=(_cluster_means(w, offsets)[0] > 0.5) * 1.0, vectors=vectors, offsets=offsets)
     return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma, values=S.eigenvalues)
 
 
@@ -510,17 +508,12 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
 def _pooled_law(values: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort a per-line law and pool runs of values whose gaps are within tol (exact ties always).
 
-    Each pooled value is its run's weighted mean, or its smallest value
-    when the run has no weight.  This aligns supports whose entries agree
-    only to rounding, e.g. transfer tables against independently
-    decomposed eigenvalue lists.
+    Each pooled value is its run's _cluster_means value, which aligns supports whose entries
+    agree only to rounding, e.g. transfer tables against independently decomposed eigenvalue lists.
     """
     order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[order]
-    offsets = _cluster_offsets(values, tol)
-    totals = np.add.reduceat(weights, offsets)
-    means = np.add.reduceat(values * weights, offsets) / np.where(totals > 0, totals, 1.0)
-    return np.where(totals > 0, means, values[offsets]), totals
+    return _cluster_means(values, _cluster_offsets(values, tol), weights)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ class SpectralDecomposition:
         sizes = np.diff(self.offsets, append=self.vectors.shape[1])
         v = self.vectors
         m = (v * np.repeat(np.asarray(values, dtype=float), sizes)) @ v.conj().T
-        return (m + m.conj().T) / 2.0
+        return m / 2.0 + m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
 
 
 def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -141,6 +141,20 @@ def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # a gap beyond the largest double is infinite, and still splits
         gaps = np.diff(sorted_values)
     return np.concatenate(([0], np.flatnonzero(gaps > gap_tol) + 1))
+
+
+def _cluster_means(values: np.ndarray, offsets: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and total weight (1 per value by default) of each run of values starting at an offset.
+
+    A run's mean is first + sum((v - first) * w) / sum(w) (Chan, Golub & LeVeque 1983): exact for equal values, and
+    no overflow for close ones.  A run with no net difference, as any weightless one (w >= 0), keeps its first value.
+    """
+    weights = np.ones(len(values)) if weights is None else weights
+    means, totals = values[offsets], np.add.reduceat(weights, offsets)
+    shifts = np.add.reduceat((values - np.repeat(means, np.diff(offsets, append=len(values)))) * weights, offsets)
+    moved = shifts != 0.0
+    means[moved] += shifts[moved] / totals[moved]
+    return means, totals
 
 
 def _binary_scale(m: np.ndarray) -> float:
@@ -184,14 +198,8 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
         w, v = np.linalg.eigh(T.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * scale)
-    sizes = np.diff(offsets, append=len(w))
-    # a cluster sum of the copy scaled by 2^-k, 2^k >= the largest cluster size, cannot overflow; k = 0 unless
-    # a sum could reach 2^1023, since power-of-two scaling is exact only above the subnormals
-    k = int(sizes.max() - 1).bit_length() if scale * int(sizes.max()) >= 2.0**1023 else 0
-    means = np.ldexp(np.add.reduceat(np.ldexp(w, -k), offsets) / sizes, k)
-    return SpectralDecomposition(eigenvalues=means, vectors=v, offsets=offsets)
+    offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * max(1.0, float(np.max(np.abs(w), initial=0.0))))
+    return SpectralDecomposition(eigenvalues=_cluster_means(w, offsets)[0], vectors=v, offsets=offsets)
 
 
 def spectral_projector(S: SpectralDecomposition, B: Callable[[float], object]) -> np.ndarray:

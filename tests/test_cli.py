@@ -120,6 +120,16 @@ class TestVerifyTrace:
         assert report["pass"] is True
         assert [report["results"][key] for key in ("mc_mean", "mc_std_error", "mc_z_score")] == [0.0, 0.0, 0.0]
 
+    def test_value_near_largest_double_on_the_spectrum(self, runner, tmp_path):
+        # b(T) = diag(0, 1.7e308): its symmetrization overflows unless each term is halved first
+        t = write_matrix(tmp_path / "T.json", np.diag([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["verify-trace", t, t, "1.7e308*x", "--samples", "100"])
+        assert result.exit_code == 0, result.output
+        report = strict_report(result.output)
+        assert report["pass"] is True and report["results"]["trace"] == 1.7e308
+
     def test_report_keys_sorted(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
         keys = list(json.loads(result.output).keys())
@@ -306,6 +316,16 @@ class TestSupport:
         assert result.exit_code == 2, result.output
         assert "not Hermitian within tolerance" in result.output
 
+    @pytest.mark.parametrize(
+        "diagonal, eigenvalues", [([0.1, 0.1, 0.1], [0.1]), ([0.7, 0.7, 0.7, 0.2], [0.2, 0.7])]
+    )
+    def test_repeated_eigenvalue_reported_exactly(self, runner, tmp_path, diagonal, eigenvalues):
+        # a cluster's sum over its size would round to 0.10000000000000002 and 0.6999999999999998
+        t = write_matrix(tmp_path / "T.json", np.diag(diagonal))
+        result = runner.invoke(cli, ["support", t, "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["eigenvalues"] == eigenvalues
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10", "--gamma", "arg"])
         digest = report_of(result)["inputs_digest"]
@@ -355,6 +375,22 @@ class TestContext:
             "Error: the product combination of this family is not representable in double precision"
         ]
 
+    def test_repeated_eigenvalue_tables_exact(self, runner, tmp_path):
+        t = write_matrix(tmp_path / "T.json", np.diag([0.7, 0.7, 0.7, 0.2]))
+        result = runner.invoke(cli, ["context", t, t])
+        assert result.exit_code == 0, result.output
+        tables = report_of(result)["results"]["transfer_tables"]
+        assert tables == {"member_0": {"1": 0.2, "2": 0.7}, "member_1": {"1": 0.2, "2": 0.7}}
+
+    def test_tol_sets_the_operator_side_tolerance(self, runner, tmp_path):
+        h = write_matrix(tmp_path / "H.json", random_hermitian(np.random.default_rng(5), 4).entries)
+        passed = runner.invoke(cli, ["context", h, h, "--trials", "2"])
+        assert passed.exit_code == 0, passed.output
+        assert 0.0 < report_of(passed)["results"]["max_operator_error"] <= 1e-8
+        strict = runner.invoke(cli, ["context", h, h, "--trials", "2", "--tol", "1e-30"])
+        assert strict.exit_code == 1, strict.output
+        assert report_of(strict)["pass"] is False
+
     def test_operator_with_own_square(self, runner, files, tmp_path):
         square = write_matrix(tmp_path / "x_squared.json", PAULI_X @ PAULI_X)
         result = runner.invoke(cli, ["context", files["pauli_x"], square])
@@ -401,6 +437,17 @@ class TestNogo:
             result = runner.invoke(cli, ["nogo", a, b])
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["branch"] == "commuting"
+
+    def test_commuting_pair_near_largest_double(self, runner, tmp_path):
+        # a random combination of the unscaled copies would overflow, and eigh would not converge on it
+        huge = write_matrix(tmp_path / "huge.json", np.diag([1e308, 1e308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["nogo", huge, huge])
+        assert result.exit_code == 0, result.output
+        results = report_of(result)["results"]
+        assert results["branch"] == "commuting" and results["n_labels"] == 2
+        assert results["transfer_tables"] == {"member_0": {"1": 1.0, "2": 1e308}, "member_1": {"1": 1.0, "2": 1e308}}
 
     def test_same_file_commutes(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -672,6 +672,31 @@ class TestPropositions:
             psi = random_ray(rng, 6)
             added = sum(line_mean(L, psi) for L in props)
             assert added == pytest.approx(expectation(total, psi), abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 16),
+        rank_fraction=st.floats(0.0, 1.0),
+        noise_exponent=st.floats(-17.0, -9.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_projector_split_at_one_half(self, dim, rank_fraction, noise_exponent, seed):
+        # the gap partition of an accepted near-projector is its split at 1/2: kernel block, then range block
+        rng = np.random.default_rng(seed)
+        rank = round(rank_fraction * dim)
+        E = random_projector(rng, dim, rank) + random_hermitian(rng, dim, scale=10.0**noise_exponent).entries
+        try:
+            S = proposition_from_projector(E, UNIFORM).decomposition
+        except NotAProjector:
+            assume(False)
+        w = np.linalg.eigh((E + E.conj().T) / 2.0)[0]
+        kernel_dim = int(np.searchsorted(w, 0.5))
+        if kernel_dim in (0, dim):
+            offsets, eigenvalues = [0], [float(kernel_dim == 0)]
+        else:
+            offsets, eigenvalues = [0, kernel_dim], [0.0, 1.0]
+        assert S.offsets.tolist() == offsets
+        assert S.eigenvalues.tolist() == eigenvalues
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hobs import (
     validate_hermitian,
 )
 from hobs.mixed import ensemble_from_density
+from hobs.spectral import _cluster_means
 
 
 class TestValidateHermitian:
@@ -99,15 +101,25 @@ class TestSpectralDecompose:
             ([1e-310, 1e-310], [1e-310]),
             ([1.0, 1e-310, 1e-310], [1e-310, 1.0]),
             ([1.7e308, 1.7e308], [1.7e308]),
+            ([1.7e308, 1.7e308, 1.7e308], [1.7e308]),
+            ([0.1, 0.1, 0.1], [0.1]),
+            ([0.7, 0.7, 0.7, 0.2], [0.2, 0.7]),
         ],
-        ids=["subnormal-pair", "subnormal-pair-beside-one", "pair-near-largest-double"],
+        ids=[
+            "subnormal-pair", "subnormal-pair-beside-one", "pair-near-largest-double",
+            "triple-near-largest-double", "triple-tenth", "triple-beside-a-singleton",
+        ],
     )
     def test_repeated_eigenvalue_keeps_its_bits(self, diagonal, eigenvalues):
-        # only a cluster whose sum could overflow is scaled by a power of two, which rounds a subnormal
+        # a sum over the cluster over its size would round all but the subnormal pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
             S = spectral_decompose(validate_hermitian(np.diag(diagonal)))
         assert S.eigenvalues.tolist() == eigenvalues
+
+    def test_singleton_keeps_negative_zero(self):
+        S = spectral_decompose(validate_hermitian(np.diag([-0.0, 1.0])))
+        assert S.eigenvalues.tolist() == [0.0, 1.0] and np.signbit(S.eigenvalues[0])
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 32])
     def test_roundtrip_and_invariants(self, dim):
@@ -126,6 +138,59 @@ class TestSpectralDecompose:
                 assert np.linalg.norm(P @ Q) <= 1e-12
             total += P
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = st.sampled_from([1.7e308, -1.7e308, 1e-310, -1e-310, -0.0, 0.0, 0.1, 0.7])
+
+
+class TestClusterMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), weighted=st.booleans())
+    def test_runs_of_equal_values_are_exact(self, data, weighted):
+        runs = data.draw(st.lists(st.tuples(_FLOATS | _EDGE_FLOATS, st.integers(1, 6)), min_size=1, max_size=4))
+        values = np.array([v for v, n in runs for _ in range(n)])
+        offsets = np.cumsum([0] + [n for _, n in runs[:-1]])
+        weights = None
+        if weighted:
+            weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(values), max_size=len(values))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            means, totals = _cluster_means(values, offsets, weights)
+        assert _bits(means) == _bits([v for v, _ in runs])  # signed zeros included
+        expected_totals = [n for _, n in runs] if weights is None else np.add.reduceat(weights, offsets)
+        assert totals.tolist() == list(expected_totals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base=st.floats(-1e300, 1e300).filter(lambda x: abs(x) > 1e-290),
+        steps=st.lists(st.integers(-1000, 1000), min_size=1, max_size=8),
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=8),
+    )
+    def test_near_equal_run_within_two_ulps_of_the_exact_mean(self, base, steps, weights):
+        values = np.array([base + k * np.spacing(base) for k in steps])
+        w = np.array(weights[: len(values)])
+        means, _ = _cluster_means(values, np.array([0]), w)
+        exact = sum(Fraction(v) * Fraction(x) for v, x in zip(values, w)) / sum(Fraction(x) for x in w)
+        assert abs(Fraction(means[0]) - exact) <= 2 * Fraction(np.spacing(np.max(np.abs(values))))
+
+    def test_singleton_keeps_its_bits(self):
+        values = np.array([-0.0, 0.1, 1.7e308, 1e-310])
+        means, totals = _cluster_means(values, np.arange(4))
+        assert _bits(means) == _bits(values)
+        assert totals.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_zero_weight_run_keeps_its_first_value(self):
+        values = np.array([0.25, 0.5, 0.75, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error: no division by a zero total
+            means, totals = _cluster_means(values, np.array([0, 3]), np.array([0.0, 0.0, 0.0, 0.5, 0.5]))
+        assert means.tolist() == [0.25, 2.5]
+        assert totals.tolist() == [0.0, 1.0]
 
 
 class TestSpectralProjector:
