@@ -19,10 +19,10 @@ argument order, its numbers parsed into a float64 array of shape
 (d, d, 2) for a matrix or (d, 2) for a vector: the number of axes and
 then each axis length as 8-byte big-endian integers, followed by the
 array's little-endian C-order bytes; and last the 8-byte big-endian
-length of the command's config, then the config as compact JSON with
-sorted keys.  Two files whose numbers parse to the same doubles share
-a digest however the numbers are spelled (`1` or `1.0`, exponents,
-whitespace).
+length of the command's config (its name and each option that can
+change its output), then the config as compact JSON with sorted keys.
+Two files whose numbers parse to the same doubles share a digest
+however the numbers are spelled (`1` or `1.0`, exponents, whitespace).
 """
 
 from __future__ import annotations
@@ -185,13 +185,13 @@ def _numeric_guard(fn):
         sys.exit(3)
 
 
-def _report(command: str, inputs: list, config: dict, run, caveats: list[str], seed, tolerance, gamma, out) -> None:
-    """Digest the inputs and config, run the check under the numeric guard, and emit its report.
+def _report(command: str, inputs: list, config: dict, run, caveats: list[str], out) -> None:
+    """Digest the inputs and the command's config, run the check under the numeric guard, and emit its report.
 
-    `run()` returns (results, passed); the digest config gains the
-    options every report command shares.
+    `run()` returns (results, passed); `config` holds exactly the
+    options that can change the results.
     """
-    digest = _digest(inputs, {**config, "command": command, "gamma": gamma.kind, "seed": seed, "tol": tolerance})
+    digest = _digest(inputs, {**config, "command": command})
     results, passed = _numeric_guard(run)
     _emit_report(command, digest, results, passed, caveats, out)
 
@@ -202,29 +202,27 @@ def _finite_positive(ctx, param, value: float) -> float:
     return value
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="64-bit RNG seed."
-    )(fn)
-    fn = click.option(
-        "--tol",
-        "tolerance",
-        type=float,
-        callback=_finite_positive,
-        default=1e-8,
-        show_default=True,
-        help="Pass/fail tolerance, finite and positive.",
-    )(fn)
-    fn = click.option(
-        "--gamma",
-        type=click.Choice(["uniform", "arg"]),
-        callback=lambda ctx, param, kind: GammaModel(kind=kind),
-        default="uniform",
-        show_default=True,
-        help="Hidden parameter model.",
-    )(fn)
-    fn = click.option("--out", "output_path", type=click.Path(), default=None, help="Write output here instead of stdout.")(fn)
-    return fn
+_seed_option = click.option(
+    "--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="64-bit RNG seed."
+)
+_tol_option = click.option(
+    "--tol",
+    "tolerance",
+    type=float,
+    callback=_finite_positive,
+    default=1e-8,
+    show_default=True,
+    help="Pass/fail tolerance, finite and positive.",
+)
+_gamma_option = click.option(
+    "--gamma",
+    type=click.Choice(["uniform", "arg"]),
+    callback=lambda ctx, param, kind: GammaModel(kind=kind),
+    default="uniform",
+    show_default=True,
+    help="Hidden parameter model.",
+)
+_out_option = click.option("--out", "output_path", type=click.Path(), default=None, help="Write output here instead of stdout.")
 
 
 @click.group()
@@ -244,7 +242,10 @@ def cli():
 @click.argument("b_expr")
 @click.option("--samples", type=click.IntRange(min=2), default=100000, show_default=True, help="Monte Carlo sample count.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads for sampling.")
-@_common_options
+@_seed_option
+@_tol_option
+@_gamma_option
+@_out_option
 def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma, output_path):
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
     t_pairs, T = _load_matrix(t_file)
@@ -287,25 +288,23 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
         }
         return results, passed
 
-    _report(
-        "verify-trace", [t_pairs, d_pairs], {"b": b_expr, "samples": samples}, run,
-        [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], seed, tolerance, gamma, output_path,
-    )
+    config = {"b": b_expr, "gamma": gamma.kind, "samples": samples, "seed": seed, "tol": tolerance}
+    _report("verify-trace", [t_pairs, d_pairs], config, run, [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], output_path)
 
 
 @cli.command("support")
 @click.argument("t_file", type=click.Path(exists=True))
 @click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True, help="Total sampled evaluations.")
 @click.option("--rays", type=click.IntRange(min=1), default=100, show_default=True, help="Random rays to spread samples over.")
-@_common_options
-def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
+@_out_option
+def cmd_support(t_file, samples, rays, output_path):
     """Check sampled values of the observable function land in the spectrum."""
     t_pairs, T = _load_matrix(t_file)
 
     def run():
-        f = build_hidden_observable(T, gamma)
+        f = build_hidden_observable(T, GammaModel.uniform())
         per_ray = max(1, samples // rays)
-        report = spectral_support_check(f, n_rays=rays, samples_per_ray=per_ray, rng=np.random.default_rng(seed))
+        report = spectral_support_check(f, n_rays=rays, samples_per_ray=per_ray, rng=np.random.default_rng(0))
         results = {
             "eigenvalues": list(f.decomposition.eigenvalues),
             "n_evaluations": report.n_evaluations,
@@ -315,10 +314,7 @@ def cmd_support(t_file, samples, rays, seed, tolerance, gamma, output_path):
         }
         return results, report.passed
 
-    _report(
-        "support", [t_pairs], {"rays": rays, "samples": samples}, run,
-        [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
-    )
+    _report("support", [t_pairs], {"rays": rays, "samples": samples}, run, [FINITE_DIM_CAVEAT], output_path)
 
 
 def _transfer_tables(ctx: Context) -> dict:
@@ -329,8 +325,10 @@ def _transfer_tables(ctx: Context) -> dict:
 @cli.command("context")
 @click.argument("family_files", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--trials", type=click.IntRange(min=1), default=16, show_default=True, help="Random closure trials.")
-@_common_options
-def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
+@_seed_option
+@_tol_option
+@_out_option
+def cmd_context(family_files, trials, seed, tolerance, output_path):
     """Joint-diagonalize a commuting family and verify algebra closure."""
     loaded = [_load_matrix(path) for path in family_files]
     family = [operator for _, operator in loaded]
@@ -338,7 +336,7 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
     def run():
         rng = np.random.default_rng(seed)
         try:
-            ctx = joint_diagonalize(family, gamma, rng=rng)
+            ctx = joint_diagonalize(family, rng=rng)
         except NotCommuting as exc:
             return {"branch": "not-commuting", "detail": str(exc)}, False
         report = homomorphism_check(ctx, trials=trials, rng=rng, operator_tol=tolerance)
@@ -353,24 +351,24 @@ def cmd_context(family_files, trials, seed, tolerance, gamma, output_path):
         }
         return results, report.passed
 
-    _report(
-        "context", [pairs for pairs, _ in loaded], {"trials": trials}, run,
-        [FINITE_DIM_CAVEAT], seed, tolerance, gamma, output_path,
-    )
+    config = {"seed": seed, "tol": tolerance, "trials": trials}
+    _report("context", [pairs for pairs, _ in loaded], config, run, [FINITE_DIM_CAVEAT], output_path)
 
 
 @cli.command("nogo")
 @click.argument("a_file", type=click.Path(exists=True))
 @click.argument("b_file", type=click.Path(exists=True))
 @click.option("--search", type=click.IntRange(min=1), default=4096, show_default=True, help="Random witness rays to try.")
-@_common_options
-def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
+@_seed_option
+@_tol_option
+@_out_option
+def cmd_nogo(a_file, b_file, search, seed, tolerance, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
     a_pairs, A = _load_matrix(a_file)
     b_pairs, B = _load_matrix(b_file)
 
     def run():
-        report = nogo_witness(A, B, gamma, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
+        report = nogo_witness(A, B, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
         results = {
             "branch": report.branch,
             "gap": report.gap,
@@ -385,10 +383,8 @@ def cmd_nogo(a_file, b_file, search, seed, tolerance, gamma, output_path):
         passed = report.branch in ("commuting", "witness")
         return results, passed
 
-    _report(
-        "nogo", [a_pairs, b_pairs], {"search": search}, run,
-        [FINITE_DIM_CAVEAT, SHARED_U_CAVEAT], seed, tolerance, gamma, output_path,
-    )
+    config = {"search": search, "seed": seed, "tol": tolerance}
+    _report("nogo", [a_pairs, b_pairs], config, run, [FINITE_DIM_CAVEAT, SHARED_U_CAVEAT], output_path)
 
 
 def _sample_inputs(path: str, observable_path: str | None):
@@ -427,8 +423,10 @@ def _sample_inputs(path: str, observable_path: str | None):
 @click.option("--observable", "observable_path", type=click.Path(exists=True), default=None, help="Operator whose observable function fills the value column.")
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True, help="Rows to draw.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads.")
-@_common_options
-def cmd_sample(input_file, observable_path, samples, workers, seed, tolerance, gamma, output_path):
+@_seed_option
+@_gamma_option
+@_out_option
+def cmd_sample(input_file, observable_path, samples, workers, seed, gamma, output_path):
     """Dump hidden samples as CSV: component_index,u,value."""
     ensemble, observable = _sample_inputs(input_file, observable_path)
 

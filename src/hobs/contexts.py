@@ -304,7 +304,7 @@ def _compass_polish(objective, v0: np.ndarray, budget: int) -> tuple[np.ndarray,
 def nogo_witness(
     A: HermitianOperator,
     B: HermitianOperator,
-    gamma: GammaModel,
+    gamma: GammaModel = GammaModel.uniform(),
     search: int = 4096,
     rng: np.random.Generator | None = None,
     *,

@@ -6,6 +6,7 @@ import warnings
 from decimal import Decimal
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -48,6 +49,7 @@ def files(tmp_path):
         "vector": write_vector(tmp_path / "vector.json", [1.0, 0.0]),
         "non_hermitian": write_matrix(tmp_path / "bad.json", [[0.0, 1.0], [0.0, 0.0]]),
         "dim3": write_matrix(tmp_path / "dim3.json", np.eye(3)),
+        "hermitian": write_matrix(tmp_path / "hermitian.json", random_hermitian(np.random.default_rng(5), 4).entries),
     }
 
 
@@ -71,9 +73,9 @@ def documented_digest(paths, config):
     return h.hexdigest()
 
 
-def shared_config(command, seed=0, tol=1e-8, gamma="uniform", **options):
-    """The digest config of one report command: its own options plus those every command shares."""
-    return {**options, "command": command, "gamma": gamma, "seed": seed, "tol": tol}
+def digest_config(command, **options):
+    """The digest config of one report command: its name and each of its options that can change its output."""
+    return {**options, "command": command}
 
 
 def _reject_constant(name):
@@ -195,7 +197,7 @@ class TestVerifyTrace:
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
         digest = report_of(result)["inputs_digest"]
         assert digest == "0cce5dbdedffea84c315023fb834e9fcb3cfc24f119ab15e447502b0409ea3d7"
-        config = shared_config("verify-trace", b="x", samples=100)
+        config = digest_config("verify-trace", b="x", gamma="uniform", samples=100, seed=0, tol=1e-8)
         assert digest == documented_digest([files["identity"], files["mixed"]], config)
 
     def test_large_offset_passes_with_sound_std_error(self, runner, tmp_path):
@@ -276,10 +278,6 @@ class TestSupport:
         assert result.exit_code == 0
         assert report_of(result)["results"]["eigenvalues"] == [-1.0, 1.0]
 
-    def test_arg_model_supported(self, runner, files):
-        result = runner.invoke(cli, ["support", files["pauli_x"], "--samples", "1000", "--rays", "5", "--gamma", "arg"])
-        assert result.exit_code == 0
-
     def test_spectrum_wider_than_largest_double(self, runner, tmp_path):
         # the eigenvalue gap 2e308 overflows to inf, which must still split the two eigenvalues
         t = write_matrix(tmp_path / "T.json", [[0.0, 1e308], [1e308, 0.0]])
@@ -327,10 +325,10 @@ class TestSupport:
         assert report_of(result)["results"]["eigenvalues"] == eigenvalues
 
     def test_inputs_digest_unchanged(self, runner, files):
-        result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10", "--gamma", "arg"])
+        result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10"])
         digest = report_of(result)["inputs_digest"]
-        assert digest == "a4820a0af9f50d1d3f3e63ab24ff068a783cc7769c4b1c5b7c530989f5f2a6ef"
-        config = shared_config("support", gamma="arg", rays=10, samples=200)
+        assert digest == "61913a8b3d9787e19f46b17ab5d554f604e0d60c7e5f80314188ebd6b1f6f03e"
+        config = digest_config("support", rays=10, samples=200)
         assert digest == documented_digest([files["signs"]], config)
 
 
@@ -399,8 +397,8 @@ class TestContext:
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], "--trials", "3"])
         digest = report_of(result)["inputs_digest"]
-        assert digest == "5016a9ff6bfe3f3c5382904f6013a24973bff87b1e8809f3b315f92362357838"
-        config = shared_config("context", trials=3)
+        assert digest == "6f5e1ef296c264e4e13cc9491511452c08012431ed4272d3b8d3ac9f38d72d17"
+        config = digest_config("context", seed=0, tol=1e-8, trials=3)
         assert digest == documented_digest([files["diag12"], files["diag55"]], config)
 
 
@@ -457,8 +455,8 @@ class TestNogo:
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_z"], files["pauli_x"], "--search", "16", "--seed", "5"])
         digest = report_of(result)["inputs_digest"]
-        assert digest == "d4bb10bee4ae3580f3e4933840507dfbef1ae8367d3d3fda925051a1650086e0"
-        config = shared_config("nogo", seed=5, search=16)
+        assert digest == "d6d53242c5ec06ef8a3fb74146c902a6f97e83325ebfa719afb283cca933ecaf"
+        config = digest_config("nogo", search=16, seed=5, tol=1e-8)
         assert digest == documented_digest([files["pauli_z"], files["pauli_x"]], config)
 
 
@@ -476,6 +474,69 @@ def digest_of(runner, args):
     result = runner.invoke(cli, args)
     assert result.exit_code in (0, 1), result.output
     return report_of(result)["inputs_digest"]
+
+
+# Each command's arguments, and a second value for each of its options but --out and --workers:
+# every option must change the output at that value (context's --tol 1e-30 fails the operator side).
+OPTION_VALUES = {
+    "verify-trace": (
+        ["{pauli_x}", "{diag37}", "x", "--samples", "1000"],
+        {"--samples": "1001", "--seed": "1", "--tol": "1e-7", "--gamma": "arg"},
+    ),
+    "support": (["{signs}", "--samples", "4", "--rays", "2"], {"--samples": "6", "--rays": "3"}),
+    "context": (["{hermitian}", "{hermitian}", "--trials", "2"], {"--trials": "3", "--seed": "1", "--tol": "1e-30"}),
+    "nogo": (["{pauli_z}", "{pauli_x}", "--search", "16"], {"--search": "4", "--seed": "1", "--tol": "1e-7"}),
+    "sample": (["{diag37}", "--samples", "20"], {"--observable": "{pauli_x}", "--samples": "21", "--seed": "1", "--gamma": "arg"}),
+}
+OPTION_PAIRS = [(command, option) for command, (_, values) in OPTION_VALUES.items() for option in values]
+
+
+def option_args(files, command, extra=()):
+    base, _ = OPTION_VALUES[command]
+    return [command] + [arg.format(**files) for arg in [*base, *extra]]
+
+
+def declared_options(command):
+    return {opt for param in cli.commands[command].params if isinstance(param, click.Option) for opt in param.opts}
+
+
+def output_without_digest(runner, args):
+    """A run's exit code and output, with a report's inputs_digest removed."""
+    result = runner.invoke(cli, args)
+    assert result.exit_code in (0, 1), result.output
+    if args[0] == "sample":
+        return result.exit_code, result.output
+    report = report_of(result)
+    del report["inputs_digest"]
+    return result.exit_code, report
+
+
+class TestEveryOptionActs:
+    def test_every_option_has_a_second_value(self):
+        declared = {(command, opt) for command in cli.commands for opt in declared_options(command)}
+        assert set(OPTION_PAIRS) == {(command, opt) for command, opt in declared if opt not in ("--out", "--workers")}
+
+    @pytest.mark.parametrize("command, option", OPTION_PAIRS)
+    def test_option_changes_output(self, runner, files, command, option):
+        value = OPTION_VALUES[command][1][option]
+        changed = output_without_digest(runner, option_args(files, command, [option, value]))
+        assert output_without_digest(runner, option_args(files, command)) != changed
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("support", "--seed", "1"),
+            ("support", "--tol", "1e-7"),
+            ("support", "--gamma", "arg"),
+            ("context", "--gamma", "arg"),
+            ("nogo", "--gamma", "arg"),
+            ("sample", "--tol", "1e-7"),
+        ],
+    )
+    def test_deleted_option_is_usage_error(self, runner, files, command, option, value):
+        result = runner.invoke(cli, option_args(files, command, [option, value]))
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and option in result.output
 
 
 class TestInputsDigest:
@@ -537,22 +598,25 @@ class TestInputsDigest:
         config = {"command": "test"}
         assert _digest([numbers.reshape(4, 2)], config) != _digest([numbers.reshape(2, 2, 2)], config)
 
-    def test_every_config_key_changes_digest(self, runner, files):
-        base = ["verify-trace", files["pauli_x"], files["diag37"], "x", "--samples", "100"]
-        variants = [
-            ["--seed", "1"],
-            ["--tol", "1e-7"],
-            ["--gamma", "arg"],
-            ["--samples", "101"],
-        ]
-        digests = [digest_of(runner, base)] + [digest_of(runner, base + extra) for extra in variants]
-        digests.append(digest_of(runner, base[:3] + ["x^2"] + base[4:]))
+    @pytest.mark.parametrize("command", ["verify-trace", "support", "context", "nogo"])
+    def test_every_config_key_changes_digest(self, runner, files, tmp_path, command):
+        base = option_args(files, command)
+        variants = OPTION_VALUES[command][1].items()
+        digests = [digest_of(runner, base)] + [digest_of(runner, base + [opt, value]) for opt, value in variants]
+        if command == "verify-trace":
+            digests.append(digest_of(runner, base[:3] + ["x^2"] + base[4:]))
         assert len(set(digests)) == len(digests)
+        # --workers and --out change no result, so they leave the digest alone
+        if "--workers" in declared_options(command):
+            assert digest_of(runner, base + ["--workers", "2"]) == digests[0]
+        out = tmp_path / "report.json"
+        runner.invoke(cli, base + ["--out", str(out)])
+        assert json.loads(out.read_text())["inputs_digest"] == digests[0]
 
     def test_digest_same_across_workers(self, runner, files):
         args = ["verify-trace", files["pauli_x"], files["diag37"], "x^2", "--samples", "100000", "--seed", "3"]
         digests = {digest_of(runner, args + ["--workers", workers]) for workers in ("1", "2")}
-        config = shared_config("verify-trace", seed=3, b="x^2", samples=100000)
+        config = digest_config("verify-trace", b="x^2", gamma="uniform", samples=100000, seed=3, tol=1e-8)
         assert digests == {documented_digest([files["pauli_x"], files["diag37"]], config)}
 
 
@@ -880,25 +944,28 @@ class TestExitCodes:
 
 
 class TestConfigValidation:
-    def test_negative_tolerance_rejected(self, runner, files):
-        result = runner.invoke(cli, ["support", files["identity"], "--tol", "-1"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize(
+        "args",
+        [["verify-trace", "{identity}", "{mixed}", "x", "--samples", "100"], ["context", "{identity}"], ["nogo", "{pauli_x}", "{pauli_z}"]],
+    )
+    def test_negative_tolerance_rejected(self, runner, files, args):
+        result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--tol", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "-1.0 is not finite and positive" in result.output
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "args",
         [
             ["verify-trace", "{identity}", "{mixed}", "x", "--samples", "100"],
-            ["support", "{identity}", "--samples", "10", "--rays", "1"],
             ["context", "{identity}"],
             ["nogo", "{pauli_x}", "{pauli_z}", "--search", "4"],
-            ["sample", "{mixed}", "--samples", "3"],
         ],
     )
     def test_non_finite_tolerance_rejected(self, runner, files, args, bad):
         result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--tol", bad])
         assert result.exit_code == 2, result.output
-        assert "--tol" in result.output
+        assert "is not finite and positive" in result.output
 
     @pytest.mark.parametrize("bad", ["-3", "0"])
     @pytest.mark.parametrize(
@@ -914,6 +981,8 @@ class TestConfigValidation:
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "1"])
         assert result.exit_code == 2
 
-    def test_gamma_choice_enforced(self, runner, files):
-        result = runner.invoke(cli, ["support", files["identity"], "--gamma", "other"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("args", [["verify-trace", "{identity}", "{mixed}", "x"], ["sample", "{mixed}"]])
+    def test_gamma_choice_enforced(self, runner, files, args):
+        result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--gamma", "other"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--gamma'" in result.output
