@@ -31,7 +31,7 @@ from .errors import (
     NotOrthogonalFamily,
     ZeroInput,
 )
-from .expr import BorelExpr, compose, format_expr, interval_bound, parse
+from .expr import BorelExpr, compose, format_expr, parse
 from .spectral import (
     DensityMatrix,
     HermitianOperator,

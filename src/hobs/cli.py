@@ -28,7 +28,6 @@ however the numbers are spelled (`1` or `1.0`, exponents, whitespace).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import sys
@@ -115,6 +114,14 @@ def _load_matrix(path: str, density: bool = False) -> tuple[np.ndarray, Hermitia
     return pairs, _as_matrix(entries, path, density)
 
 
+def _same_dimension(paths, operators) -> None:
+    """The matrices of one command's input files must share a dimension; a mismatch is an input error."""
+    first = operators[0].dim
+    for path, operator in zip(paths[1:], operators[1:]):
+        if operator.dim != first:
+            raise _InputError(f"dimension mismatch: {paths[0]} is {first}x{first}, {path} is {operator.dim}x{operator.dim}")
+
+
 def _parse_expression(text: str) -> expr.BorelExpr:
     try:
         return expr.parse(text)
@@ -152,6 +159,18 @@ def _jsonable(value, nulled: list[str], key: str):
     return value
 
 
+def _write_output(path: str | None, write) -> None:
+    """Call write(stream) on the file at path, or on stdout without one; a file that cannot be written is an input error."""
+    if not path:
+        write(sys.stdout)
+        return
+    try:
+        with open(path, "w") as stream:
+            write(stream)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_report(command: str, digest: str, results: dict, passed: bool, caveats: list[str], out: str | None) -> None:
     nulled: list[str] = []
     results = _jsonable(results, nulled, "results")
@@ -165,10 +184,7 @@ def _emit_report(command: str, digest: str, results: dict, passed: bool, caveats
         "caveats": list(caveats),
     }
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write_output(out, lambda stream: stream.write(text))
     if not passed:
         sys.exit(1)
 
@@ -250,8 +266,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
     t_pairs, T = _load_matrix(t_file)
     d_pairs, D = _load_matrix(d_file, density=True)
-    if T.dim != D.dim:
-        raise _InputError(f"dimension mismatch: {t_file} is {T.dim}x{T.dim}, {d_file} is {D.dim}x{D.dim}")
+    _same_dimension([t_file, d_file], [T, D])
     b = _parse_expression(b_expr)
 
     def run():
@@ -332,6 +347,7 @@ def cmd_context(family_files, trials, seed, tolerance, output_path):
     """Joint-diagonalize a commuting family and verify algebra closure."""
     loaded = [_load_matrix(path) for path in family_files]
     family = [operator for _, operator in loaded]
+    _same_dimension(family_files, family)
 
     def run():
         rng = np.random.default_rng(seed)
@@ -366,6 +382,7 @@ def cmd_nogo(a_file, b_file, search, seed, tolerance, output_path):
     """Resolve the dichotomy for a pair: context, or a second-moment witness."""
     a_pairs, A = _load_matrix(a_file)
     b_pairs, B = _load_matrix(b_file)
+    _same_dimension([a_file, b_file], [A, B])
 
     def run():
         report = nogo_witness(A, B, search=search, rng=np.random.default_rng(seed), tolerance=tolerance)
@@ -430,18 +447,10 @@ def cmd_sample(input_file, observable_path, samples, workers, seed, gamma, outpu
     """Dump hidden samples as CSV: component_index,u,value."""
     ensemble, observable = _sample_inputs(input_file, observable_path)
 
-    def run():
-        f = build_hidden_observable(observable, gamma)
-        mu = HiddenMixedState(ensemble=ensemble, gamma=gamma)
-        buffer = io.StringIO()
-        dump_samples_csv(f, mu, SampleStream(seed=seed), samples, buffer, workers=workers)
-        return buffer.getvalue()
-
-    text = _numeric_guard(run)
-    if output_path:
-        Path(output_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    # every check that can fail runs before the output is opened, so a failed run writes no file
+    f = _numeric_guard(lambda: build_hidden_observable(observable, gamma))
+    mu = HiddenMixedState(ensemble=ensemble, gamma=gamma)
+    _write_output(output_path, lambda out: dump_samples_csv(f, mu, SampleStream(seed=seed), samples, out, workers=workers))
 
 
 def main():

@@ -12,9 +12,9 @@ Grammar (whitespace insensitive, numbers are decimal doubles):
 `ind(a, b)` the indicator of the closed interval [a, b], and
 `clamp(lo, hi)` clips the evaluation point into [lo, hi].  Every
 production maps bounded subsets of the reals into bounded subsets:
-there is no division and no unbounded-on-bounded primitive, so
-evaluation is total on the reals and a finite bound over any box is
-computable from the tree by interval arithmetic.
+there is no division, powers take only unsigned integer exponents, and
+no primitive is unbounded on a bounded set, so evaluation is total on
+the reals and every expression is bounded on every bounded interval.
 
 The leading sign is an extension of the core grammar so that negative
 literals such as ``ind(-1, 0)`` parse.
@@ -22,7 +22,6 @@ literals such as ``ind(-1, 0)`` parse.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass, replace
@@ -110,56 +109,6 @@ def _substitute(node: Node, replacement: Node) -> Node:
     if node.op == "x":
         return replacement
     return replace(node, args=tuple(_substitute(arg, replacement) for arg in node.args))
-
-
-# ---------------------------------------------------------------------------
-# Interval arithmetic: a finite enclosure of the range over a box
-
-
-def _bound_mul(p, q):
-    prods = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
-    return min(prods), max(prods)
-
-
-def _bound_abs(s):
-    a, b = s
-    top = max(abs(a), abs(b))
-    bot = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-    return bot, top
-
-
-def _bound_pow(s, n: int):
-    if n == 0:
-        return 1.0, 1.0
-    if n % 2 == 1:
-        return _int_power(s[0], n), _int_power(s[1], n)
-    return tuple(_int_power(v, n) for v in _bound_abs(s))
-
-
-# each rule maps the argument intervals to an interval enclosing the result
-_BOUND = {
-    "neg": lambda s: (-s[1], -s[0]),
-    "+": lambda p, q: (p[0] + q[0], p[1] + q[1]),
-    "-": lambda p, q: (p[0] - q[1], p[1] - q[0]),
-    "*": _bound_mul,
-    "abs": _bound_abs,
-    "min": lambda p, q: (min(p[0], q[0]), min(p[1], q[1])),
-    "max": lambda p, q: (max(p[0], q[0]), max(p[1], q[1])),
-    "step": lambda *_: (0.0, 1.0),
-    "ind": lambda *_: (0.0, 1.0),
-    "clamp": lambda s, lo, hi: (min(max(s[0], lo[0]), hi[0]), min(max(s[1], lo[1]), hi[1])),
-}
-
-
-def _bound(node: Node, lo: float, hi: float) -> tuple[float, float]:
-    if node.op == "num":
-        return node.value, node.value
-    if node.op == "x":
-        return lo, hi
-    args = [_bound(arg, lo, hi) for arg in node.args]
-    if node.op == "^":
-        return _bound_pow(args[0], node.value)
-    return _BOUND[node.op](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +334,3 @@ def format_expr(b: BorelExpr) -> str:
     test the evaluation point directly (they have no surface syntax).
     """
     return _fmt(b.ast, _PREC_SUM)
-
-
-def interval_bound(b: BorelExpr, lo: float, hi: float) -> tuple[float, float]:
-    """A finite interval enclosing b([lo, hi]), by interval arithmetic."""
-    if math.isnan(lo) or math.isnan(hi):
-        raise NaNInput("interval ends must not be NaN")
-    if lo > hi:
-        raise ValueError("lo > hi")
-    return _bound(b.ast, lo, hi)

@@ -53,6 +53,7 @@ _TINY_NORMAL = 2.2250738585072014e-308
 
 PROJECTOR_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+RECONSTRUCT_TOL = 1e-8  # held-out first moments may deviate from the candidate's by this times max(1, ||T||_2)
 WITNESS_BLOCK = 512  # rays weighed per call; bounds a block's memory
 
 
@@ -393,7 +394,6 @@ def orthodoxy_reconstruct(
     h: HiddenObservable | SharedParameterSum,
     *,
     validation_rays: int = 32,
-    tol: float = 1e-8,
     rng: np.random.Generator | None = None,
 ) -> HermitianOperator:
     """The unique Hermitian candidate behind the per-line first moments of h.
@@ -425,7 +425,7 @@ def orthodoxy_reconstruct(
     rays = _random_rows(rng, validation_rays, dim)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     gaps = np.abs(means(lambda a, b: rays[a:b], validation_rays) - np.sum((rays.conj() * (rays @ T.T)).real, axis=-1))
-    failed = np.flatnonzero(gaps > tol * scale)
+    failed = np.flatnonzero(gaps > RECONSTRUCT_TOL * scale)
     if failed.size:
         raise NonQuadraticFirstMoment(
             f"first moments deviate from any quadratic form by {gaps[failed[0]]:.3e} on held-out ray {failed[0]}"
@@ -530,13 +530,13 @@ def statistical_equivalence_check(
     rays: Sequence[StateVector],
     *,
     weight_tol: float = WEIGHT_TOL,
-    value_tol: float | None = None,
 ) -> EquivalenceReport:
     """Compare per-line value distributions of two hidden observables.
 
     Passes when, on every probe ray, the two (value, weight) lists have
-    matching supports (within value_tol after dropping weights below
-    weight_tol) and weights equal within weight_tol.
+    matching supports (within 1e-9 * max(1, largest |value| on the ray)
+    after dropping weights below weight_tol) and weights equal within
+    weight_tol.
     """
     if f1.dim != f2.dim:
         raise DimensionMismatch(f"dimension mismatch: {f1.dim} vs {f2.dim}")
@@ -544,10 +544,8 @@ def statistical_equivalence_check(
     max_weight_error = 0.0
     for idx, psi in enumerate(rays):
         (v1, w1), (v2, w2) = f1.line_distribution(psi), f2.line_distribution(psi)
-        vtol = value_tol
-        if vtol is None:
-            top = max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(v2), initial=0.0))
-            vtol = 1e-9 * max(1.0, top)
+        top = max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(v2), initial=0.0))
+        vtol = 1e-9 * max(1.0, top)
         (v1, w1), (v2, w2) = _pooled_law(v1, w1, vtol), _pooled_law(v2, w2, vtol)
         keep1, keep2 = w1 > weight_tol, w2 > weight_tol
         v1, w1, v2, w2 = v1[keep1], w1[keep1], v2[keep2], w2[keep2]

@@ -90,7 +90,7 @@ class DensityMatrix:
         m = m / 2.0 + m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
         trace = np.trace(m).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace!r} != 1")
+            raise ValueError(f"density matrix trace {float(trace)!r} != 1")
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues.min() < DENSITY_EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")

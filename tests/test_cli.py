@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
+from hobs import EigensolverFailure
 from hobs.cli import _digest, _emit_report, _load_complex, cli
 
 
@@ -150,6 +151,7 @@ class TestVerifyTrace:
     def test_non_density_rejected(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["diag12"], "x"])
         assert result.exit_code == 2
+        assert result.output.splitlines() == [f"Error: {files['diag12']}: density matrix trace 3.0 != 1"]
 
     def test_huge_skew_density_rejected_without_overflow(self, runner, files, tmp_path):
         # the skew part would overflow an unscaled norm into an inf <= inf pass, and D be read as I/2
@@ -394,6 +396,13 @@ class TestContext:
         result = runner.invoke(cli, ["context", files["pauli_x"], square])
         assert result.exit_code == 0
 
+    def test_dimension_mismatch_in_last_file_is_input_error(self, runner, files):
+        result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], files["dim3"]])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            f"Error: dimension mismatch: {files['diag12']} is 2x2, {files['dim3']} is 3x3"
+        ]
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], "--trials", "3"])
         digest = report_of(result)["inputs_digest"]
@@ -451,6 +460,13 @@ class TestNogo:
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])
         assert result.exit_code == 0
         assert report_of(result)["results"]["branch"] == "commuting"
+
+    def test_dimension_mismatch_is_input_error(self, runner, files):
+        result = runner.invoke(cli, ["nogo", files["pauli_x"], files["dim3"]])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            f"Error: dimension mismatch: {files['pauli_x']} is 2x2, {files['dim3']} is 3x3"
+        ]
 
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_z"], files["pauli_x"], "--search", "16", "--seed", "5"])
@@ -685,6 +701,33 @@ class TestSample:
         result = runner.invoke(cli, ["sample", files["mixed"], "--samples", "10", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("component_index,u,value")
+
+    def test_failed_run_writes_no_out_file(self, runner, files, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EigensolverFailure("did not converge")
+
+        monkeypatch.setattr("hobs.kernel.spectral_decompose", fail)
+        out = tmp_path / "dump.csv"
+        result = runner.invoke(cli, ["sample", files["mixed"], "--samples", "10", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert not out.exists()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["support", "{identity}", "--samples", "10", "--rays", "2"],
+            ["sample", "{mixed}", "--samples", "10"],
+        ],
+        ids=["support", "sample"],
+    )
+    def test_out_in_missing_directory_is_input_error(self, runner, files, tmp_path, command):
+        out = tmp_path / "missing" / "out.txt"
+        result = runner.invoke(cli, [arg.format(**files) for arg in command] + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"Error: cannot write {out}: ")
+        assert not out.parent.exists()
 
 
 class TestInputValidation:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_expression_text
 
-from hobs import ArityError, ExprSyntaxError, NaNInput, compose, format_expr, interval_bound, parse
+from hobs import ArityError, ExprSyntaxError, NaNInput, compose, format_expr, parse
 
 
 class TestParseAndEval:
@@ -155,24 +155,13 @@ class TestRoundTripAndBounds:
         xs = np.linspace(-10, 10, 1000)
         np.testing.assert_array_equal(b(xs), again(xs))
 
-    @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("box", [1.0, 5.0])
-    def test_sampled_sup_within_interval_bound(self, seed, box):
-        rng = np.random.default_rng(seed)
-        b = parse(random_expression_text(rng, depth=3))
-        lo, hi = interval_bound(b, -box, box)
-        assert np.isfinite(lo) and np.isfinite(hi)
-        xs = np.linspace(-box, box, 2001)
-        vals = b(xs)
-        assert np.all(np.isfinite(vals))
-        assert vals.min() >= lo - 1e-9
-        assert vals.max() <= hi + 1e-9
-
-    def test_bound_is_finite_for_deep_tree(self):
-        rng = np.random.default_rng(123)
-        b = parse(random_expression_text(rng, depth=5))
-        lo, hi = interval_bound(b, -100.0, 100.0)
-        assert np.isfinite(lo) and np.isfinite(hi)
+    def test_random_expressions_are_finite_on_a_bounded_grid(self):
+        # no division and only unsigned integer powers: every expression is
+        # bounded on a bounded interval, so a grid over one gives finite values
+        xs = np.linspace(-100.0, 100.0, 2001)
+        for seed in range(40):
+            b = parse(random_expression_text(np.random.default_rng(seed), depth=1 + seed % 5))
+            assert np.all(np.isfinite(b(xs))), b.source
 
     def test_composed_indicator_has_no_surface_syntax(self):
         c = compose(parse("step(0)"), parse("x^2"))
@@ -201,15 +190,14 @@ class TestPinnedOutputs:
     # SHA-256 of the language's exact outputs over 300 seeded random
     # expressions, as produced before the tree became one node type: the
     # evaluation bits (including signed zeros and overflow to +-inf or
-    # NaN), interval bounds on three boxes, printed forms, and for each
-    # composition with the previous expression its source text,
-    # evaluation bits and bounds.  Any change to a result changes it.
+    # NaN), printed forms, and for each composition with the previous
+    # expression its source text and evaluation bits.  Any change to a
+    # result changes it.
     XS = np.array(
         [0.0, -0.0, 1e300, -1e300, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e-300, 7.25, -7.25]
         + list(np.linspace(-4, 4, 33))
     )
-    BOXES = ((-1.0, 1.0), (-5.0, 0.25), (2.0, 3.0))
-    DIGEST = "28c11d2e41f4b5e3d325730bfbed8ffa185df5349435bfad56572de982a2d439"
+    DIGEST = "832fea44f09642494422a2d686160bb029bb131bf60a085620233d414952348d"
 
     def test_outputs_match_pinned_digest(self):
         h = hashlib.sha256()
@@ -218,12 +206,10 @@ class TestPinnedOutputs:
             for seed in range(300):
                 b = parse(random_expression_text(np.random.default_rng(seed), depth=1 + seed % 4))
                 h.update(b(self.XS).tobytes())
-                h.update(repr([interval_bound(b, lo, hi) for lo, hi in self.BOXES]).encode())
                 h.update(format_expr(b).encode())
                 if prev is not None:
                     c = compose(b, prev)
                     h.update(c.source.encode())
                     h.update(c(self.XS).tobytes())
-                    h.update(repr([interval_bound(c, lo, hi) for lo, hi in self.BOXES]).encode())
                 prev = b
         assert h.hexdigest() == self.DIGEST
