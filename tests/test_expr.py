@@ -155,13 +155,17 @@ class TestRoundTripAndBounds:
         xs = np.linspace(-10, 10, 1000)
         np.testing.assert_array_equal(b(xs), again(xs))
 
-    def test_random_expressions_are_finite_on_a_bounded_grid(self):
-        # no division and only unsigned integer powers: every expression is
-        # bounded on a bounded interval, so a grid over one gives finite values
+    # no division and only unsigned integer powers: every expression is
+    # bounded on a bounded interval, so a grid over one gives finite values
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_expressions_are_finite_on_a_bounded_grid(self, seed):
         xs = np.linspace(-100.0, 100.0, 2001)
-        for seed in range(40):
-            b = parse(random_expression_text(np.random.default_rng(seed), depth=1 + seed % 5))
-            assert np.all(np.isfinite(b(xs))), b.source
+        b = parse(random_expression_text(np.random.default_rng(seed), depth=1 + seed % 5))
+        assert np.all(np.isfinite(b(xs))), b.source
+
+    def test_deep_tree_is_finite_on_a_bounded_grid(self):
+        b = parse(random_expression_text(np.random.default_rng(123), depth=5))
+        assert np.all(np.isfinite(b(np.linspace(-100.0, 100.0, 2001)))), b.source
 
     def test_composed_indicator_has_no_surface_syntax(self):
         c = compose(parse("step(0)"), parse("x^2"))
