@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -160,15 +161,18 @@ def _jsonable(value, nulled: list[str], key: str):
 
 
 def _write_output(path: str | None, write) -> None:
-    """Call write(stream) on the file at path, or on stdout without one; a file that cannot be written is an input error."""
-    if not path:
-        write(sys.stdout)
-        return
+    """Call write(stream) on the file at path, or on stdout without one; output that cannot be written is an input error."""
     try:
-        with open(path, "w") as stream:
-            write(stream)
+        if path:
+            with open(path, "w") as stream:
+                write(stream)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}") from exc
+        if not path:  # else the flush at interpreter exit fails on the same stdout and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _InputError(f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
 def _emit_report(command: str, digest: str, results: dict, passed: bool, caveats: list[str], out: str | None) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DegeneracyResolutionFailure,
-    DimensionMismatch,
     NonFiniteInput,
     NotAProjector,
     NotCommuting,
@@ -51,6 +50,7 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     _binary_scale,
+    _check_dims,
     _cluster_means,
     _cluster_offsets,
     _relative_error,
@@ -115,8 +115,7 @@ def joint_diagonalize(
         raise ValueError("family must be non-empty")
     dim = ops[0].dim
     for op in ops[1:]:
-        if op.dim != dim:
-            raise DimensionMismatch(f"dimension mismatch: {dim} vs {op.dim}")
+        _check_dims(dim, op.dim)
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if not commutes(ops[i], ops[j]):
@@ -321,8 +320,7 @@ def nogo_witness(
     the shared-parameter convention.  If neither branch fires the
     report says inconclusive rather than passing silently.
     """
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"dimension mismatch: {A.dim} vs {B.dim}")
+    _check_dims(A.dim, B.dim)
     rng = rng if rng is not None else np.random.default_rng(0)
     threshold = 10.0 * tolerance
     if commutes(A, B):

@@ -39,6 +39,7 @@ from .spectral import (
     SpectralDecomposition,
     StateVector,
     _binary_scale,
+    _check_dims,
     _cluster_means,
     _cluster_offsets,
     _readonly,
@@ -158,8 +159,7 @@ class HiddenPoint:
 
 def line_weights(S: SpectralDecomposition, psi: StateVector) -> np.ndarray:
     """Spectral weights p_i = ||P_i psi||^2 / ||psi||^2 on the line of psi."""
-    if S.dim != psi.dim:
-        raise DimensionMismatch(f"dimension mismatch: {S.dim} vs {psi.dim}")
+    _check_dims(S.dim, psi.dim)
     v = _binary_scale(psi.components) * psi.components  # a power of two: no square overflows or underflows to 0
     return _bulk_line_weights(S, v) / np.vdot(v, v).real
 
@@ -207,9 +207,9 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return c
 
 
-def _quantile_values(values: np.ndarray, weights: np.ndarray, u, rows=None) -> np.ndarray:
-    """values at the pieces of u on a line whose spectral weights are `weights` (row rows[i] of a stack)."""
-    return values[_piece_index(_cumulative(weights), u, rows)]
+def _quantile_values(values: np.ndarray, weights: np.ndarray, u) -> np.ndarray:
+    """values at the pieces of u on a line whose spectral weights are `weights`."""
+    return values[_piece_index(_cumulative(weights), u)]
 
 
 def cdf(S: SpectralDecomposition, psi: StateVector, r: float) -> float:
@@ -441,8 +441,7 @@ def orthodoxy_second_moment_gap(
     A float for a StateVector, n gaps for an (n, d) array of nonzero rows.
     """
     psi, dim = np.atleast_2d(rays.components if isinstance(rays, StateVector) else rays), h.dim
-    if psi.shape[-1] != dim:
-        raise DimensionMismatch(f"dimension mismatch: {dim} vs {psi.shape[-1]}")
+    _check_dims(dim, psi.shape[-1])
     psi = psi / np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=-1, keepdims=True))  # np.linalg.norm's sum
     laws, offsets = (h if isinstance(h, SharedParameterSum) else SharedParameterSum((h,)))._gap_tables
     # conj(psi) on each part's eigenvectors, then C psi: <C^2> = ||C psi||^2 for Hermitian C
@@ -538,8 +537,7 @@ def statistical_equivalence_check(
     after dropping weights below weight_tol) and weights equal within
     weight_tol.
     """
-    if f1.dim != f2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {f1.dim} vs {f2.dim}")
+    _check_dims(f1.dim, f2.dim)
     failures: list[str] = []
     max_weight_error = 0.0
     for idx, psi in enumerate(rays):

@@ -19,26 +19,27 @@ worker count and block size.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
 
 from . import kernel
-from .errors import DimensionMismatch, EigensolverFailure
+from .errors import EigensolverFailure
 from .kernel import (
     GammaModel,
     HiddenObservable,
     HiddenPoint,
     _bulk_line_weights,
     _cumulative,
-    _quantile_values,
     _row_search,
     u_from_words,
 )
-from .spectral import DensityMatrix, StateVector, function_values
+from .spectral import DensityMatrix, StateVector, _check_dims, function_values
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -118,16 +119,14 @@ def exact_classical_mean(f: HiddenObservable, b, mu: HiddenMixedState) -> float:
     Equals Trace[b(T) delta(mu)] up to rounding, which is the identity
     the workbench exists to verify.
     """
-    if f.dim != mu.dim:
-        raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {mu.dim}")
+    _check_dims(f.dim, mu.dim)
     weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
     return float(np.dot(mu.ensemble.weights, weights @ function_values(b, f.values)))
 
 
 def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
     """mu(L): the mixture-weighted exact per-line measure of the event."""
-    if L.dim != mu.dim:
-        raise DimensionMismatch(f"dimension mismatch: {L.dim} vs {mu.dim}")
+    _check_dims(L.dim, mu.dim)
     return float(np.dot(mu.ensemble.weights, L.line_means(mu.ensemble.rays)))
 
 
@@ -169,13 +168,11 @@ def _draw_block(mu: HiddenMixedState, stream: SampleStream, start: int, count: i
     return k, u
 
 
-def _block_values(
-    f: HiddenObservable, mu: HiddenMixedState, stream: SampleStream, start: int, count: int
-):
-    """Component indices, hidden parameters and values of f for one sample range."""
+def _block_values(cumulative: np.ndarray, mu: HiddenMixedState, stream: SampleStream, start: int, count: int):
+    """Component indices, hidden parameters and quantile pieces (row k of `cumulative`) for one sample range."""
     k, u = _draw_block(mu, stream, start, count)
-    weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
-    return k, u, _quantile_values(f.values, weights, u, k)
+    # called through the module so that perfbench's tracer, which patches kernel._piece_index, sees it
+    return k, u, kernel._piece_index(cumulative, u, k)
 
 
 def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[HiddenPoint]:
@@ -190,13 +187,24 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
     return points
 
 
-def _map_blocks(fn, stream: SampleStream, n: int, workers: int) -> list:
-    """fn of each (start, count) block of n samples, in block order, on up to `workers` threads."""
-    blocks = list(stream.blocks(n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, blocks))
-    return [fn(block) for block in blocks]
+def _sample_blocks(f: HiddenObservable, mu: HiddenMixedState, stream: SampleStream, n: int, workers: int, reduce):
+    """reduce(k, u, pieces) of each block of n samples, in block order; the dimension check and table run on the call.
+
+    reduce runs in the call that draws its block: arrays kept until the next draw made every block fault pages in.
+    """
+    _check_dims(f.dim, mu.dim)
+    cumulative = _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
+    fn, blocks = (lambda block: reduce(*_block_values(cumulative, mu, stream, *block))), stream.blocks(n)
+    return map(fn, blocks) if workers == 1 else _threaded_blocks(fn, blocks, workers)
+
+
+def _threaded_blocks(fn, blocks, workers: int):
+    """Yield fn of each block in order; the next block is submitted when the consumer takes the oldest result."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, block) for block in islice(blocks, workers))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(fn, block) for block in islice(blocks, 1))
 
 
 @dataclass(frozen=True)
@@ -232,16 +240,8 @@ def mc_estimate(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if f.dim != mu.dim:
-        raise DimensionMismatch(f"dimension mismatch: {f.dim} vs {mu.dim}")
-    cumulative = _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
-
-    def block_counts(block):
-        k, u = _draw_block(mu, stream, *block)
-        # called through the module so that perfbench's tracer, which patches kernel._piece_index, sees it
-        return np.bincount(kernel._piece_index(cumulative, u, k), minlength=cumulative.shape[-1])
-
-    counts = sum(_map_blocks(block_counts, stream, n, workers))
+    counts = sum(_sample_blocks(
+        f, mu, stream, n, workers, lambda k, u, pieces: np.bincount(pieces, minlength=f.values.size)))
     # unsampled pieces are left out: a zero count times an overflowed square would make M2 NaN
     seen = np.flatnonzero(counts)
     counts = counts[seen]
@@ -264,13 +264,12 @@ def dump_samples_csv(
 ) -> None:
     """Write `component_index,u,value` rows, 17 significant digits.
 
-    Blocks may be computed by several workers but are always written in
-    block order, so output bytes do not depend on the worker count.
+    Blocks are computed on up to `workers` threads and written in block
+    order as taken: output bytes do not depend on workers, memory not on n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    computed = _map_blocks(lambda block: _block_values(f, mu, stream, *block), stream, n, workers)
+    blocks = _sample_blocks(f, mu, stream, n, workers, lambda k, u, pieces: "".join(
+        "%d,%.17g,%.17g\n" % row for row in zip(k.tolist(), u.tolist(), f.values[pieces].tolist())))
     out.write("component_index,u,value\n")
-    for k, u, values in computed:
-        out.write("".join("%d,%.17g,%.17g\n" % row for row in zip(k.tolist(), u.tolist(), values.tolist())))
+    out.writelines(blocks)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from decimal import Decimal
@@ -728,6 +731,29 @@ class TestUnwritableOut:
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"Error: cannot write {out}: ")
         assert not out.parent.exists()
+
+
+class TestUnwritableStdout:
+    # a real process: CliRunner's output buffer never fails a write
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["support", "{identity}", "--samples", "10", "--rays", "2"],
+            ["sample", "{mixed}", "--samples", "10"],
+            ["sample", "{mixed}", "--samples", "200000"],  # four blocks, written one at a time
+        ],
+        ids=["support", "sample", "sample-blocks"],
+    )
+    def test_closed_stdout_pipe_is_input_error(self, files, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            args = [sys.executable, "-m", "hobs"] + [arg.format(**files) for arg in command]
+            proc = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode().startswith("Error: cannot write standard output: ")
 
 
 class TestInputValidation:

@@ -44,6 +44,11 @@ from hobs.mixed import _block_values, _draw_block
 UNIFORM = GammaModel.uniform()
 
 
+def sampling_table(f, mu):
+    """The (K, m) table _block_values reads: cumulative spectral weights of f on each component ray of mu."""
+    return _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
+
+
 def mixed(D: DensityMatrix, gamma=UNIFORM) -> HiddenMixedState:
     return HiddenMixedState(ensemble=ensemble_from_density(D), gamma=gamma)
 
@@ -319,11 +324,10 @@ class TestMcEstimate:
 
 
 def block_piece_counts(f, mu, stream, n):
-    """Per-piece counts of n samples, rebuilt from the values _block_values gives each block."""
-    counts = np.zeros(f.values.size, dtype=np.int64)
+    """Per-piece counts of n samples, the bincount of the pieces _block_values gives each block."""
+    counts, cumulative = np.zeros(f.values.size, dtype=np.int64), sampling_table(f, mu)
     for start, count in stream.blocks(n):
-        values = _block_values(f, mu, stream, start, count)[2]
-        counts += np.bincount(np.searchsorted(f.values, values), minlength=f.values.size)
+        counts += np.bincount(_block_values(cumulative, mu, stream, start, count)[2], minlength=f.values.size)
     return counts
 
 
@@ -380,7 +384,8 @@ class TestBlockValues:
         assert mu.ensemble.size == 32
         # the smallest component weight is 5.7e-5: 400,000 draws expect about 23 of it, and miss it with
         # probability about 1e-10 under any stream
-        k, u, values = _block_values(f, mu, SampleStream(seed=3), 0, 400000)
+        k, u, pieces = _block_values(sampling_table(f, mu), mu, SampleStream(seed=3), 0, 400000)
+        values = f.values[pieces]
         assert set(np.unique(k)) == set(range(32))
         for comp, row in enumerate(mu.ensemble.rays):
             mask = k == comp
@@ -416,9 +421,9 @@ class TestBlockSearch:
             D = DensityMatrix(entries=np.outer(v, v.conj()) / np.vdot(v, v).real)
         f, mu, stream = build_hidden_observable(T, UNIFORM), mixed(D), SampleStream(seed=dim)
         assert mu.ensemble.size == {"full-rank": dim, "basis-rays": dim, "pure": 1}[case]
-        k, u, values = _block_values(f, mu, stream, 100, 5000)
+        k, u, pieces = _block_values(sampling_table(f, mu), mu, stream, 100, 5000)
         assert np.array_equal(k, _draw_block(mu, stream, 100, 5000)[0])
-        assert np.array_equal(values, masked_block_values(f, mu, stream, 100, 5000))
+        assert np.array_equal(f.values[pieces], masked_block_values(f, mu, stream, 100, 5000))
 
     @pytest.mark.parametrize("weights", [[0.25, 0.25, 0.5], [0.1, 0.2, 0.3, 0.4], [1.0]])
     def test_component_draw_is_clipped_right_searchsorted(self, weights):
@@ -479,13 +484,35 @@ class TestCsvDump:
         f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
         mu = mixed(random_density(rng, 8))
         n = 65536
-        k, u, values = _block_values(f, mu, SampleStream(seed=7), 0, n)
+        k, u, pieces = _block_values(sampling_table(f, mu), mu, SampleStream(seed=7), 0, n)
         expected = "component_index,u,value\n" + "".join(
-            f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, values)
+            f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, f.values[pieces])
         )
         buf = io.StringIO()
         dump_samples_csv(f, mu, SampleStream(seed=7), n, buf)
         assert buf.getvalue().encode() == expected.encode()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blocks_are_drawn_at_most_workers_ahead_of_the_rows_written(self, monkeypatch, workers):
+        f, mu = self.make()
+        stream, buf, drawn = SampleStream(seed=5, block_size=100), io.StringIO(), {}
+
+        def recording(*args):  # args[3] is the block's first sample
+            drawn[args[3] // stream.block_size] = max(buf.getvalue().count("\n") - 1, 0)
+            return _block_values(*args)
+
+        monkeypatch.setattr("hobs.mixed._block_values", recording)
+        dump_samples_csv(f, mu, stream, 1000, buf, workers=workers)
+        assert sorted(drawn) == list(range(10))
+        for j, rows in drawn.items():  # the rows of blocks 0 .. j - workers are out before block j is drawn
+            assert rows >= (j - workers + 1) * stream.block_size, (j, rows)
+
+    def test_dimension_mismatch_raises_before_the_header(self):
+        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        buf = io.StringIO()
+        with pytest.raises(DimensionMismatch):
+            dump_samples_csv(f, mixed(DensityMatrix(entries=np.eye(2) / 2)), SampleStream(seed=1), 10, buf)
+        assert buf.getvalue() == ""
 
     def test_seventeen_significant_digits(self):
         f, mu = self.make()
