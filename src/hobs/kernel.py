@@ -111,7 +111,7 @@ def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray) -> np.ndarra
     produce identical values from identical words.
     """
     if gamma.kind == "uniform":
-        return np.where(w1 == 0.0, _TINY, w1)
+        return np.maximum(w1, _TINY)  # 0 is the only word below _TINY
     # Box-Muller point of the standard complex Gaussian; the radius is
     # guarded away from 0 so the sampled line point is never the origin.
     r = np.sqrt(-2.0 * np.log1p(-w1))
@@ -180,10 +180,7 @@ def _row_search(edges: np.ndarray, x, rows=None, right: bool = False) -> np.ndar
     ties included, as searchsorted.  x is never NaN here: u_from_words maps into
     (0, 1) and HiddenPoint validates its u.
     """
-    inner = np.atleast_2d(edges)[:, :-1]
-    width = 1 << inner.shape[1].bit_length()
-    flat = np.full(inner.shape[0] * width, np.inf)
-    flat.reshape(-1, width)[:, : inner.shape[1]] = inner
+    flat, width = _padded(edges)
     base = -1 if rows is None else np.asarray(rows) * width - 1
     before = np.less_equal if right else np.less
     idx = np.zeros(np.shape(x), dtype=np.intp)
@@ -192,6 +189,43 @@ def _row_search(edges: np.ndarray, x, rows=None, right: bool = False) -> np.ndar
         idx += step * before(flat[base + idx + step], x)
         step >>= 1
     return idx[()]
+
+
+def _padded(edges: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows _row_search searches, flattened, and their width: all but the last edge, padded with +inf."""
+    inner = np.atleast_2d(edges)[:, :-1]
+    width = 1 << inner.shape[1].bit_length()
+    flat = np.full(inner.shape[0] * width, np.inf)
+    flat.reshape(-1, width)[:, : inner.shape[1]] = inner
+    return flat, width
+
+
+def _row_search_into(table: tuple[np.ndarray, int], x: np.ndarray, rows, out: np.ndarray, scratch,
+                     right: bool = False) -> np.ndarray:
+    """_row_search of x in a `_padded` table, written into `out` without allocating an array.
+
+    `scratch` is an intp, a float and an intp array of x's size.  Each pass keeps
+    the position row * width + count, reads the edge it lands on through a view
+    shifted by the step, and adds the step where that edge is before x.
+    """
+    (flat, width), (pos, edge, hit) = table, scratch
+    before = np.less_equal if right else np.less
+    if rows is None:
+        pos = out
+        pos.fill(0)
+    else:
+        np.multiply(rows, width, out=pos)
+    step = width >> 1
+    while step:
+        # flat[pos + step - 1]; every position is in range, and mode="clip" writes into `edge` unbuffered
+        np.take(flat[step - 1 :], pos, out=edge, mode="clip")
+        before(edge, x, out=hit)
+        hit *= step
+        pos += hit
+        step >>= 1
+    if rows is not None:
+        np.subtract(pos, np.multiply(rows, width, out=out), out=out)
+    return out
 
 
 def _piece_index(cumulative: np.ndarray, u, rows=None) -> np.ndarray:

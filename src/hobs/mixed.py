@@ -7,18 +7,21 @@ the mixture equal operator traces against that matrix, exactly for the
 finite sums computed here and statistically for the sampling paths.
 
 Sampling follows a seekable-stream contract: sample i consumes exactly
-the 64-bit words 4i..4i+3 of a PCG64DXSM stream seeded by the seed,
-reached by advancing the stream, so any block of samples is drawn on
-its own.  Every sampled value of b(f) is b at one of the m pieces of f,
-so a Monte Carlo estimate reduces its samples to exact integer counts
-per piece, and its mean and spread follow from m counts.  Serial and
-worker-parallel runs therefore produce bit-identical results for any
-worker count and block size.
+the 64-bit words w*i..w*i+w-1 of a PCG64DXSM stream seeded by the seed,
+w = 2 under the uniform model and 3 under arg, reached by advancing the
+stream, so any block of samples is drawn on its own.  Each worker draws
+every block of a call into one set of arrays, words included, and drops
+them when the call returns.  Every sampled value of b(f) is b at one of
+the m pieces of f, so a Monte Carlo estimate reduces its samples to
+exact integer counts per piece, and its mean and spread follow from m
+counts.  Serial and worker-parallel runs therefore produce bit-identical
+results for any worker count and block size.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +31,6 @@ from typing import IO
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
 
-from . import kernel
 from .errors import EigensolverFailure
 from .kernel import (
     GammaModel,
@@ -36,16 +38,16 @@ from .kernel import (
     HiddenPoint,
     _bulk_line_weights,
     _cumulative,
-    _row_search,
+    _padded,
+    _row_search_into,
     u_from_words,
 )
 from .spectral import DensityMatrix, StateVector, _check_dims, function_values
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-# words 0-2 pick the component and feed u; the unused fourth keeps a block's word array the size that
-# measured no page faults per block (three words made the heap top shrink and fault back in each block)
-WORDS_PER_SAMPLE = 4
+# words per sample: word 0 picks the component, the rest feed u_from_words (u reads word 1, arg words 1 and 2)
+SAMPLE_WORDS = {"uniform": 2, "arg": 3}
 
 
 @dataclass(frozen=True)
@@ -138,20 +140,23 @@ def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
 class SampleStream:
     """Reproducible sample randomness keyed by a 64-bit seed.
 
-    Sample i reads words 4i..4i+3 of one PCG64DXSM stream seeded by
-    `seed`; `advance` jumps to any sample in O(log n) steps, so any
-    contiguous range of samples can be generated independently of how
-    the range is partitioned across workers.
+    Sample i reads words w*i..w*i+w-1 of one PCG64DXSM stream seeded by
+    `seed`, w words per sample; `advance` jumps to any sample in
+    O(log n) steps, so any contiguous range of samples can be generated
+    independently of how the range is partitioned across workers.  The
+    default block size keeps the arrays a worker reuses for every block
+    of a call under 1 MB.
     """
 
     seed: int
-    block_size: int = 65536
+    block_size: int = 16384
 
-    def raw_words(self, start: int, count: int) -> np.ndarray:
-        """Uniform [0,1) words for samples [start, start+count), shape (count, 4)."""
+    def raw_words(self, start: int, count: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Uniform [0,1) words for samples [start, start+count), shape (count, width); a view of flat `out` if given."""
         bg = PCG64DXSM(self.seed)
-        bg.advance(WORDS_PER_SAMPLE * start)
-        return Generator(bg).random((count, WORDS_PER_SAMPLE))
+        bg.advance(width * start)
+        words = np.empty((count, width)) if out is None else out[: count * width].reshape(count, width)
+        return Generator(bg).random(out=words)
 
     def blocks(self, n: int):
         """The fixed partition plan: [start, stop) slices of block_size."""
@@ -159,20 +164,38 @@ class SampleStream:
             yield start, min(self.block_size, n - start)
 
 
-def _draw_block(mu: HiddenMixedState, stream: SampleStream, start: int, count: int):
-    """Component indices and hidden parameters for one sample range."""
-    words = stream.raw_words(start, count)
-    cum = np.minimum(np.cumsum(mu.ensemble.weights), 1.0)
-    k = _row_search(cum, words[:, 0], right=True)
-    u = u_from_words(mu.gamma, words[:, 1], words[:, 2])
-    return k, u
+def _components(mu: HiddenMixedState) -> tuple[np.ndarray, int]:
+    """The `_padded` cumulative component weights that word 0 of a sample is searched in."""
+    return _padded(np.minimum(np.cumsum(mu.ensemble.weights), 1.0))
 
 
-def _block_values(cumulative: np.ndarray, mu: HiddenMixedState, stream: SampleStream, start: int, count: int):
-    """Component indices, hidden parameters and quantile pieces (row k of `cumulative`) for one sample range."""
-    k, u = _draw_block(mu, stream, start, count)
-    # called through the module so that perfbench's tracer, which patches kernel._piece_index, sees it
-    return k, u, kernel._piece_index(cumulative, u, k)
+def _sampling_tables(f: HiddenObservable, mu: HiddenMixedState):
+    """The per-call tables of _block_values: the component table, and per component f's cumulative spectral weights."""
+    _check_dims(f.dim, mu.dim)
+    return _components(mu), _padded(_cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays)))
+
+
+def _block_arrays(size: int) -> list[np.ndarray]:
+    """Arrays for blocks of up to `size` samples: words (3 a sample, the widest layout), k, pieces, search scratch."""
+    return [np.empty(3 * size), *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size),
+            np.empty(size, dtype=np.intp)]
+
+
+def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: int, count: int, arrays=None):
+    """Component indices and hidden parameters for one sample range, drawn into `arrays` (of count samples) if given."""
+    buffer, k, _, *scratch = arrays or _block_arrays(count)
+    words = stream.raw_words(start, count, SAMPLE_WORDS[mu.gamma.kind], buffer)
+    _row_search_into(components, words[:, 0], None, k, scratch, right=True)
+    # the last word is word 2 under arg; the uniform map reads only word 1
+    return k, u_from_words(mu.gamma, words[:, 1], words[:, -1])
+
+
+def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays=None):
+    """Component indices, hidden parameters and quantile pieces (row k of the piece table) of a sample range, in
+    `arrays` (of count samples) if given."""
+    arrays = arrays or _block_arrays(count)
+    k, u = _draw_block(mu, tables[0], stream, start, count, arrays)
+    return k, u, _row_search_into(tables[1], u, k, arrays[2], arrays[3:])
 
 
 def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[HiddenPoint]:
@@ -181,20 +204,30 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
         raise ValueError("n must be >= 1")
     states = [StateVector(components=row) for row in mu.ensemble.rays]
     points: list[HiddenPoint] = []
+    components = _components(mu)
     for start, count in stream.blocks(n):
-        k, u = _draw_block(mu, stream, start, count)
+        k, u = _draw_block(mu, components, stream, start, count)
         points.extend(HiddenPoint(ray=states[ki], u=ui) for ki, ui in zip(k, u))
     return points
 
 
 def _sample_blocks(f: HiddenObservable, mu: HiddenMixedState, stream: SampleStream, n: int, workers: int, reduce):
-    """reduce(k, u, pieces) of each block of n samples, in block order; the dimension check and table run on the call.
+    """reduce(k, u, pieces) of each block of n samples, in block order; the dimension check and tables run on the call.
 
-    reduce runs in the call that draws its block: arrays kept until the next draw made every block fault pages in.
+    reduce runs in the call that draws its block, and each thread draws every block into one set of arrays, made
+    on its first block and dropped with the call's blocks: a block's arrays freed to the heap and allocated again
+    made the heap trim and fault pages back in on every block, depending on the process's allocation history.
     """
-    _check_dims(f.dim, mu.dim)
-    cumulative = _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
-    fn, blocks = (lambda block: reduce(*_block_values(cumulative, mu, stream, *block))), stream.blocks(n)
+    tables, local = _sampling_tables(f, mu), threading.local()
+
+    def fn(block):
+        start, count = block
+        if not hasattr(local, "arrays"):
+            local.arrays = _block_arrays(stream.block_size)
+        words, *rest = local.arrays  # raw_words cuts the word buffer to the words it draws
+        return reduce(*_block_values(tables, mu, stream, start, count, [words, *(a[:count] for a in rest)]))
+
+    blocks = stream.blocks(n)
     return map(fn, blocks) if workers == 1 else _threaded_blocks(fn, blocks, workers)
 
 
@@ -269,7 +302,10 @@ def dump_samples_csv(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    # the index and value columns take one of K and m strings, formatted once per call
+    indices = np.array(["%d," % k for k in range(mu.ensemble.size)], dtype=object)
+    values = np.array([",%.17g\n" % v for v in f.values.tolist()], dtype=object)
     blocks = _sample_blocks(f, mu, stream, n, workers, lambda k, u, pieces: "".join(
-        "%d,%.17g,%.17g\n" % row for row in zip(k.tolist(), u.tolist(), f.values[pieces].tolist())))
+        "%s%.17g%s" % row for row in zip(indices[k].tolist(), u.tolist(), values[pieces].tolist())))
     out.write("component_index,u,value\n")
     out.writelines(blocks)

@@ -55,8 +55,10 @@ from hobs.kernel import (
     _bulk_line_weights,
     _cumulative,
     _piece_index,
+    _padded,
     _pooled_law,
     _row_search,
+    _row_search_into,
     u_from_words,
 )
 
@@ -252,6 +254,12 @@ class TestRowSearch:
         for point in (x[0], np.asarray(x[0])):
             found = _row_search(row, point, right=right)
             assert np.ndim(found) == 0 and found == min(np.searchsorted(row, x[0], side), m - 1)
+        # the allocation-free search of sample blocks, into arrays holding an earlier block's values
+        stale = np.full(x.size, -7, dtype=np.intp)
+        out, scratch = stale.copy(), [stale.copy(), np.full(x.size, np.nan), stale.copy()]
+        assert np.array_equal(_row_search_into(_padded(edges), x, rows, out, scratch, right), expected)
+        assert np.array_equal(_row_search_into(_padded(row), x, None, out, scratch, right),
+                              np.minimum(np.searchsorted(row, x, side), m - 1))
 
     def test_piece_index_tie_rule_on_a_stack(self):
         cumulative = np.array([[0.0, 0.5, 0.5, 1.0], [0.25, 0.25, 1.0, 1.0]])

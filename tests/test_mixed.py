@@ -1,7 +1,11 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,14 +43,9 @@ from hobs import (
     trace_expectation,
 )
 from hobs.kernel import _bulk_line_weights, _cumulative
-from hobs.mixed import _block_values, _draw_block
+from hobs.mixed import SAMPLE_WORDS, _block_values, _components, _draw_block, _sampling_tables
 
 UNIFORM = GammaModel.uniform()
-
-
-def sampling_table(f, mu):
-    """The (K, m) table _block_values reads: cumulative spectral weights of f on each component ray of mu."""
-    return _cumulative(_bulk_line_weights(f.decomposition, mu.ensemble.rays))
 
 
 def mixed(D: DensityMatrix, gamma=UNIFORM) -> HiddenMixedState:
@@ -186,12 +185,29 @@ class TestExactClassicalMean:
 class TestSampleStream:
     def test_words_are_partition_independent(self):
         stream = SampleStream(seed=1234)
-        whole = stream.raw_words(0, 1000)
-        split = np.vstack([stream.raw_words(0, 300), stream.raw_words(300, 700)])
-        assert np.array_equal(whole, split)
+        for width in (2, 3):
+            whole = stream.raw_words(0, 1000, width)
+            split = np.vstack([stream.raw_words(0, 300, width), stream.raw_words(300, 700, width)])
+            assert np.array_equal(whole, split)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(SampleStream(seed=1).raw_words(0, 8), SampleStream(seed=2).raw_words(0, 8))
+        for width in (2, 3):
+            assert not np.array_equal(SampleStream(seed=1).raw_words(0, 8, width),
+                                      SampleStream(seed=2).raw_words(0, 8, width))
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_block_into_reused_buffer_is_the_rows_of_one_long_draw(self, width):
+        # the layout contract: sample i is words width*i .. width*i + width - 1 of one stream, whatever
+        # the buffer held before
+        stream = SampleStream(seed=77, block_size=1000)
+        whole = stream.raw_words(0, 5000, width)
+        assert whole.shape == (5000, width)
+        buffer = np.full(3 * stream.block_size, np.nan)
+        for start in (0, 1000, 2500, 4000):
+            block = stream.raw_words(start, 1000, width, buffer)
+            assert np.shares_memory(block, buffer)
+            assert np.array_equal(block, whole[start : start + 1000])
+        assert np.array_equal(stream.raw_words(4990, 10, width, buffer), whole[4990:])
 
     def test_blocks_cover_range(self):
         stream = SampleStream(seed=0, block_size=100)
@@ -220,9 +236,7 @@ class TestSampleHidden:
             ensemble=Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [0, 1]]), gamma=UNIFORM
         )
         stream = SampleStream(seed=2024)
-        from hobs.mixed import _draw_block
-
-        k, _ = _draw_block(mu, stream, 0, n)
+        k, _ = _draw_block(mu, _components(mu), stream, 0, n)
         count = int(np.sum(k == 0))
         assert abs(count - n / 2) <= 4.0 * np.sqrt(n * 0.25)
 
@@ -322,12 +336,60 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
 
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    def test_equal_at_any_block_size_and_worker_count(self, gamma):
+        rng = np.random.default_rng(24)
+        f = build_hidden_observable(random_hermitian(rng, 4), gamma)
+        mu = mixed(random_density(rng, 4), gamma=gamma)
+        n = 200_003
+        estimates = {
+            (block_size, workers): mc_estimate(
+                f, parse("x^2 + x"), mu, SampleStream(seed=5, block_size=block_size), n, workers=workers)
+            for block_size in (1000, 16384, 65536)
+            for workers in (1, 3)
+        }
+        assert len(set(estimates.values())) == 1, estimates
+
+
+# warms up with three 10^6-sample estimates at d = 4, then prints the minor page faults of ten more
+FAULT_PROBE = """
+import resource
+import numpy as np
+from hobs import (DensityMatrix, GammaModel, HiddenMixedState, SampleStream, build_hidden_observable,
+                  ensemble_from_density, mc_estimate, parse, validate_hermitian)
+rng = np.random.default_rng(4)
+m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+f = build_hidden_observable(validate_hermitian((m + m.conj().T) / 2), GammaModel.uniform())
+m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+rho = m @ m.conj().T
+mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)),
+                      gamma=GammaModel.uniform())
+assert mu.ensemble.size == 4
+b = parse("x^2")
+for seed in range(3):
+    mc_estimate(f, b, mu, SampleStream(seed=seed), 10**6)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(3, 13):
+    mc_estimate(f, b, mu, SampleStream(seed=seed), 10**6)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc heap page faults")
+def test_steady_state_estimate_does_not_fault_pages_in():
+    # block-sized arrays freed and allocated per block let the heap trim and fault back in on every block:
+    # 5,889-14,370 faults per call were measured that way; the arrays reused for a whole call cost under 200
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 10 * 256, f"{int(proc.stdout) / 10:.0f} minor faults per call"
+
 
 def block_piece_counts(f, mu, stream, n):
     """Per-piece counts of n samples, the bincount of the pieces _block_values gives each block."""
-    counts, cumulative = np.zeros(f.values.size, dtype=np.int64), sampling_table(f, mu)
+    counts, tables = np.zeros(f.values.size, dtype=np.int64), _sampling_tables(f, mu)
     for start, count in stream.blocks(n):
-        counts += np.bincount(_block_values(cumulative, mu, stream, start, count)[2], minlength=f.values.size)
+        counts += np.bincount(_block_values(tables, mu, stream, start, count)[2], minlength=f.values.size)
     return counts
 
 
@@ -384,7 +446,7 @@ class TestBlockValues:
         assert mu.ensemble.size == 32
         # the smallest component weight is 5.7e-5: 400,000 draws expect about 23 of it, and miss it with
         # probability about 1e-10 under any stream
-        k, u, pieces = _block_values(sampling_table(f, mu), mu, SampleStream(seed=3), 0, 400000)
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=3), 0, 400000)
         values = f.values[pieces]
         assert set(np.unique(k)) == set(range(32))
         for comp, row in enumerate(mu.ensemble.rays):
@@ -394,7 +456,7 @@ class TestBlockValues:
 
 def masked_block_values(f, mu, stream, start, count):
     """The per-component reference: mask each component's samples and searchsorted its cumulative weights."""
-    k, u = _draw_block(mu, stream, start, count)
+    k, u = _draw_block(mu, _components(mu), stream, start, count)
     weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
     values = np.empty(count, dtype=float)
     for comp in range(mu.ensemble.size):
@@ -421,8 +483,8 @@ class TestBlockSearch:
             D = DensityMatrix(entries=np.outer(v, v.conj()) / np.vdot(v, v).real)
         f, mu, stream = build_hidden_observable(T, UNIFORM), mixed(D), SampleStream(seed=dim)
         assert mu.ensemble.size == {"full-rank": dim, "basis-rays": dim, "pure": 1}[case]
-        k, u, pieces = _block_values(sampling_table(f, mu), mu, stream, 100, 5000)
-        assert np.array_equal(k, _draw_block(mu, stream, 100, 5000)[0])
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, stream, 100, 5000)
+        assert np.array_equal(k, _draw_block(mu, _components(mu), stream, 100, 5000)[0])
         assert np.array_equal(f.values[pieces], masked_block_values(f, mu, stream, 100, 5000))
 
     @pytest.mark.parametrize("weights", [[0.25, 0.25, 0.5], [0.1, 0.2, 0.3, 0.4], [1.0]])
@@ -433,14 +495,14 @@ class TestBlockSearch:
         pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
 
         class PinnedStream(SampleStream):  # the first words of the block sit on the cumulative weights
-            def raw_words(self, start, count):
-                words = super().raw_words(start, count)
+            def raw_words(self, start, count, width, out=None):
+                words = super().raw_words(start, count, width, out)
                 words[: pinned.size, 0] = pinned
                 return words
 
         stream = PinnedStream(seed=11)
-        k, _ = _draw_block(mu, stream, 0, 1000)
-        first = stream.raw_words(0, 1000)[:, 0]
+        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
+        first = stream.raw_words(0, 1000, SAMPLE_WORDS["uniform"])[:, 0]
         assert np.array_equal(k, np.minimum(np.searchsorted(cumulative, first, "right"), size - 1))
 
 
@@ -479,12 +541,12 @@ class TestCsvDump:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_rows_match_per_row_formatting(self):
-        # one full d=8 block, against the row-at-a-time f-string formatting
+        # four d=8 blocks, against the row-at-a-time f-string formatting of one draw of the whole range
         rng = np.random.default_rng(65)
         f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
         mu = mixed(random_density(rng, 8))
         n = 65536
-        k, u, pieces = _block_values(sampling_table(f, mu), mu, SampleStream(seed=7), 0, n)
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=7), 0, n)
         expected = "component_index,u,value\n" + "".join(
             f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, f.values[pieces])
         )
