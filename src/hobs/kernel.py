@@ -170,29 +170,8 @@ def _bulk_line_weights(S: SpectralDecomposition, rays: np.ndarray) -> np.ndarray
     return np.add.reduceat(amplitudes.real**2 + amplitudes.imag**2, S.offsets, axis=-1)
 
 
-def _row_search(edges: np.ndarray, x, rows=None, right: bool = False) -> np.ndarray:
-    """min(searchsorted(edges[rows[i]], x[i], side), m - 1) per point, by one branchless binary search.
-
-    `edges` is (K, m) with nondecreasing rows, or 1-D for one row.  The clipped
-    count over m edges is the count over the first m - 1, so only those are
-    searched, padded with +inf to a power-of-two width.  Each pass steps past the
-    edge it lands on when that edge is < x (<= x when `right`): the same count,
-    ties included, as searchsorted.  x is never NaN here: u_from_words maps into
-    (0, 1) and HiddenPoint validates its u.
-    """
-    flat, width = _padded(edges)
-    base = -1 if rows is None else np.asarray(rows) * width - 1
-    before = np.less_equal if right else np.less
-    idx = np.zeros(np.shape(x), dtype=np.intp)
-    step = width >> 1
-    while step:
-        idx += step * before(flat[base + idx + step], x)
-        step >>= 1
-    return idx[()]
-
-
 def _padded(edges: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rows _row_search searches, flattened, and their width: all but the last edge, padded with +inf."""
+    """The rows _row_search_into searches, flattened, and their width: all but the last edge, padded with +inf."""
     inner = np.atleast_2d(edges)[:, :-1]
     width = 1 << inner.shape[1].bit_length()
     flat = np.full(inner.shape[0] * width, np.inf)
@@ -202,11 +181,18 @@ def _padded(edges: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _row_search_into(table: tuple[np.ndarray, int], x: np.ndarray, rows, out: np.ndarray, scratch,
                      right: bool = False) -> np.ndarray:
-    """_row_search of x in a `_padded` table, written into `out` without allocating an array.
+    """min(searchsorted(edges[rows[i]], x[i], side), m - 1) per point of the 1-D x, by one branchless binary search.
 
-    `scratch` is an intp, a float and an intp array of x's size.  Each pass keeps
-    the position row * width + count, reads the edge it lands on through a view
-    shifted by the step, and adds the step where that edge is before x.
+    `table` is `_padded(edges)` for (K, m) edges with nondecreasing rows, or 1-D edges for one row (rows None).
+    The clipped count over m edges is the count over the first m - 1, so only those are searched, padded with
+    +inf to a power-of-two width.  Each pass steps past the edge it lands on when that edge is < x (<= x when
+    `right`): the same count, ties included, as searchsorted.  x is never NaN here: u_from_words maps into (0, 1)
+    and HiddenPoint validates its u.
+
+    The counts are written into `out`, and `scratch` is an intp, a float and an intp array of x's size (the
+    first only read when rows are given), so a call allocates no array.  Each pass keeps the position
+    row * width + count, reads the edge it lands on through a view shifted by the step, and adds the step
+    where that edge is before x.
     """
     (flat, width), (pos, edge, hit) = table, scratch
     before = np.less_equal if right else np.less
@@ -228,9 +214,12 @@ def _row_search_into(table: tuple[np.ndarray, int], x: np.ndarray, rows, out: np
     return out
 
 
-def _piece_index(cumulative: np.ndarray, u, rows=None) -> np.ndarray:
-    """First index with cumulative weight >= u (the quasi-inverse tie rule), in row rows[i] of a stack."""
-    return _row_search(cumulative, u, rows)
+def _piece_index(cumulative: np.ndarray, u) -> np.ndarray:
+    """First index with cumulative weight >= u (the quasi-inverse tie rule), in u's shape: a scalar, or an array."""
+    x = np.ravel(u)
+    out = np.empty(x.size, dtype=np.intp)
+    _row_search_into(_padded(cumulative), x, None, out, (None, np.empty(x.size), np.empty(x.size, dtype=np.intp)))
+    return out.reshape(np.shape(u))[()]
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:

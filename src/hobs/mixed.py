@@ -151,12 +151,11 @@ class SampleStream:
     seed: int
     block_size: int = 16384
 
-    def raw_words(self, start: int, count: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Uniform [0,1) words for samples [start, start+count), shape (count, width); a view of flat `out` if given."""
+    def raw_words(self, start: int, count: int, width: int, out: np.ndarray) -> np.ndarray:
+        """Uniform [0,1) words for samples [start, start+count), shape (count, width): a view of the flat `out`."""
         bg = PCG64DXSM(self.seed)
         bg.advance(width * start)
-        words = np.empty((count, width)) if out is None else out[: count * width].reshape(count, width)
-        return Generator(bg).random(out=words)
+        return Generator(bg).random(out=out[: count * width].reshape(count, width))
 
     def blocks(self, n: int):
         """The fixed partition plan: [start, stop) slices of block_size."""
@@ -190,10 +189,9 @@ def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: i
     return k, u_from_words(mu.gamma, words[:, 1], words[:, -1])
 
 
-def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays=None):
+def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays):
     """Component indices, hidden parameters and quantile pieces (row k of the piece table) of a sample range, in
-    `arrays` (of count samples) if given."""
-    arrays = arrays or _block_arrays(count)
+    `_block_arrays` of count samples."""
     k, u = _draw_block(mu, tables[0], stream, start, count, arrays)
     return k, u, _row_search_into(tables[1], u, k, arrays[2], arrays[3:])
 

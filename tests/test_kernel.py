@@ -57,7 +57,6 @@ from hobs.kernel import (
     _piece_index,
     _padded,
     _pooled_law,
-    _row_search,
     _row_search_into,
     u_from_words,
 )
@@ -248,24 +247,26 @@ class TestRowSearch:
         side = "right" if right else "left"
         m = edges.shape[1]
         expected = [min(np.searchsorted(edges[r], xi, side), m - 1) for r, xi in zip(rows, x)]
-        assert np.array_equal(_row_search(edges, x, rows, right), expected)
-        row = edges[rows[0]]  # a single 1-D row, with scalar and 0-d points
-        assert np.array_equal(_row_search(row, x, right=right), np.minimum(np.searchsorted(row, x, side), m - 1))
-        for point in (x[0], np.asarray(x[0])):
-            found = _row_search(row, point, right=right)
-            assert np.ndim(found) == 0 and found == min(np.searchsorted(row, x[0], side), m - 1)
-        # the allocation-free search of sample blocks, into arrays holding an earlier block's values
+        # the search of sample blocks, into arrays holding an earlier block's values
         stale = np.full(x.size, -7, dtype=np.intp)
         out, scratch = stale.copy(), [stale.copy(), np.full(x.size, np.nan), stale.copy()]
         assert np.array_equal(_row_search_into(_padded(edges), x, rows, out, scratch, right), expected)
+        row = edges[rows[0]]  # a single 1-D row
         assert np.array_equal(_row_search_into(_padded(row), x, None, out, scratch, right),
                               np.minimum(np.searchsorted(row, x, side), m - 1))
+        # _piece_index, the left search of one row, keeps the shape of its points: scalar and 0-d points give 0-d
+        assert np.array_equal(_piece_index(row, x), np.minimum(np.searchsorted(row, x), m - 1))
+        for point in (x[0], np.asarray(x[0])):
+            found = _piece_index(row, point)
+            assert np.ndim(found) == 0 and found == min(np.searchsorted(row, x[0]), m - 1)
 
     def test_piece_index_tie_rule_on_a_stack(self):
         cumulative = np.array([[0.0, 0.5, 0.5, 1.0], [0.25, 0.25, 1.0, 1.0]])
         u = np.array([0.0, 0.5, 0.5000000000000001, 0.25, 0.3, 1.0])
         rows = np.array([0, 0, 0, 1, 1, 1])
-        assert _piece_index(cumulative, u, rows).tolist() == [0, 1, 3, 0, 2, 2]
+        out, scratch = np.empty(6, dtype=np.intp), [np.empty(6, dtype=np.intp), np.empty(6), np.empty(6, dtype=np.intp)]
+        assert _row_search_into(_padded(cumulative), u, rows, out, scratch).tolist() == [0, 1, 3, 0, 2, 2]
+        assert [_piece_index(cumulative[r], ui) for r, ui in zip(rows, u)] == [0, 1, 3, 0, 2, 2]
 
 
 class TestHiddenObservable:

@@ -43,7 +43,7 @@ from hobs import (
     trace_expectation,
 )
 from hobs.kernel import _bulk_line_weights, _cumulative
-from hobs.mixed import SAMPLE_WORDS, _block_values, _components, _draw_block, _sampling_tables
+from hobs.mixed import SAMPLE_WORDS, _block_arrays, _block_values, _components, _draw_block, _sampling_tables
 
 UNIFORM = GammaModel.uniform()
 
@@ -182,25 +182,30 @@ class TestExactClassicalMean:
             assert hidden_state_measure(L, mu) == pytest.approx(expected, abs=1e-10)
 
 
+def fresh_words(stream, start, count, width):
+    """stream.raw_words into a buffer of its own."""
+    return stream.raw_words(start, count, width, np.empty(width * count))
+
+
 class TestSampleStream:
     def test_words_are_partition_independent(self):
         stream = SampleStream(seed=1234)
         for width in (2, 3):
-            whole = stream.raw_words(0, 1000, width)
-            split = np.vstack([stream.raw_words(0, 300, width), stream.raw_words(300, 700, width)])
+            whole = fresh_words(stream, 0, 1000, width)
+            split = np.vstack([fresh_words(stream, 0, 300, width), fresh_words(stream, 300, 700, width)])
             assert np.array_equal(whole, split)
 
     def test_different_seeds_differ(self):
         for width in (2, 3):
-            assert not np.array_equal(SampleStream(seed=1).raw_words(0, 8, width),
-                                      SampleStream(seed=2).raw_words(0, 8, width))
+            assert not np.array_equal(fresh_words(SampleStream(seed=1), 0, 8, width),
+                                      fresh_words(SampleStream(seed=2), 0, 8, width))
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_block_into_reused_buffer_is_the_rows_of_one_long_draw(self, width):
         # the layout contract: sample i is words width*i .. width*i + width - 1 of one stream, whatever
         # the buffer held before
         stream = SampleStream(seed=77, block_size=1000)
-        whole = stream.raw_words(0, 5000, width)
+        whole = fresh_words(stream, 0, 5000, width)
         assert whole.shape == (5000, width)
         buffer = np.full(3 * stream.block_size, np.nan)
         for start in (0, 1000, 2500, 4000):
@@ -351,7 +356,9 @@ class TestMcEstimate:
         assert len(set(estimates.values())) == 1, estimates
 
 
-# warms up with three 10^6-sample estimates at d = 4, then prints the minor page faults of ten more
+# warms up with three 10^6-sample estimates at d = 4, then prints the minor page faults of ten more and of ten
+# one-block estimates between them: a call makes and drops its block arrays whatever its size, so the difference
+# is what the blocks after the first fault in
 FAULT_PROBE = """
 import resource
 import numpy as np
@@ -365,31 +372,40 @@ rho = m @ m.conj().T
 mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)),
                       gamma=GammaModel.uniform())
 assert mu.ensemble.size == 4
-b = parse("x^2")
+b, block = parse("x^2"), SampleStream(seed=0).block_size
+
+
+def faults(seed, n):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mc_estimate(f, b, mu, SampleStream(seed=seed), n)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 for seed in range(3):
-    mc_estimate(f, b, mu, SampleStream(seed=seed), 10**6)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for seed in range(3, 13):
-    mc_estimate(f, b, mu, SampleStream(seed=seed), 10**6)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    faults(seed, 10**6), faults(seed, block)
+calls = [(faults(seed, 10**6), faults(seed, block)) for seed in range(3, 13)]
+print(*map(sum, zip(*calls)))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc heap page faults")
 def test_steady_state_estimate_does_not_fault_pages_in():
     # block-sized arrays freed and allocated per block let the heap trim and fault back in on every block:
-    # 5,889-14,370 faults per call were measured that way; the arrays reused for a whole call cost under 200
+    # 5,889-14,370 faults per 10^6-sample call were measured that way; with arrays reused for a whole call, a
+    # call faults in about as many pages as a one-block call
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 10 * 256, f"{int(proc.stdout) / 10:.0f} minor faults per call"
+    full, one_block = map(int, proc.stdout.split())
+    assert full - one_block <= 10 * 256, f"{full / 10:.0f} minor faults per call, {one_block / 10:.0f} at one block"
 
 
 def block_piece_counts(f, mu, stream, n):
     """Per-piece counts of n samples, the bincount of the pieces _block_values gives each block."""
     counts, tables = np.zeros(f.values.size, dtype=np.int64), _sampling_tables(f, mu)
     for start, count in stream.blocks(n):
-        counts += np.bincount(_block_values(tables, mu, stream, start, count)[2], minlength=f.values.size)
+        pieces = _block_values(tables, mu, stream, start, count, _block_arrays(count))[2]
+        counts += np.bincount(pieces, minlength=f.values.size)
     return counts
 
 
@@ -446,7 +462,8 @@ class TestBlockValues:
         assert mu.ensemble.size == 32
         # the smallest component weight is 5.7e-5: 400,000 draws expect about 23 of it, and miss it with
         # probability about 1e-10 under any stream
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=3), 0, 400000)
+        n = 400000
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=3), 0, n, _block_arrays(n))
         values = f.values[pieces]
         assert set(np.unique(k)) == set(range(32))
         for comp, row in enumerate(mu.ensemble.rays):
@@ -483,7 +500,7 @@ class TestBlockSearch:
             D = DensityMatrix(entries=np.outer(v, v.conj()) / np.vdot(v, v).real)
         f, mu, stream = build_hidden_observable(T, UNIFORM), mixed(D), SampleStream(seed=dim)
         assert mu.ensemble.size == {"full-rank": dim, "basis-rays": dim, "pure": 1}[case]
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, stream, 100, 5000)
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, stream, 100, 5000, _block_arrays(5000))
         assert np.array_equal(k, _draw_block(mu, _components(mu), stream, 100, 5000)[0])
         assert np.array_equal(f.values[pieces], masked_block_values(f, mu, stream, 100, 5000))
 
@@ -495,14 +512,14 @@ class TestBlockSearch:
         pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
 
         class PinnedStream(SampleStream):  # the first words of the block sit on the cumulative weights
-            def raw_words(self, start, count, width, out=None):
+            def raw_words(self, start, count, width, out):
                 words = super().raw_words(start, count, width, out)
                 words[: pinned.size, 0] = pinned
                 return words
 
         stream = PinnedStream(seed=11)
         k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
-        first = stream.raw_words(0, 1000, SAMPLE_WORDS["uniform"])[:, 0]
+        first = fresh_words(stream, 0, 1000, SAMPLE_WORDS["uniform"])[:, 0]
         assert np.array_equal(k, np.minimum(np.searchsorted(cumulative, first, "right"), size - 1))
 
 
@@ -546,7 +563,7 @@ class TestCsvDump:
         f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
         mu = mixed(random_density(rng, 8))
         n = 65536
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=7), 0, n)
+        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=7), 0, n, _block_arrays(n))
         expected = "component_index,u,value\n" + "".join(
             f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, f.values[pieces])
         )
