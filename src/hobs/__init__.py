@@ -31,7 +31,7 @@ from .errors import (
     NotOrthogonalFamily,
     ZeroInput,
 )
-from .expr import BorelExpr, compose, format_expr, parse
+from .expr import BorelExpr, compose, parse
 from .spectral import (
     DensityMatrix,
     HermitianOperator,

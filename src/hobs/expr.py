@@ -112,47 +112,6 @@ def _substitute(node: Node, replacement: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing back into the grammar
-
-_PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-_PREC_BINARY = {"+": _PREC_SUM, "-": _PREC_SUM, "*": _PREC_PROD}
-
-
-def _fmt_num(v: float) -> str:
-    # negative literals, including -0.0, only parse at expression heads
-    text = repr(float(v))
-    return f"({text})" if text.startswith("-") else text
-
-
-def _fmt(node: Node, parent_prec: int) -> str:
-    op, args = node.op, node.args
-    if op == "num":
-        return _fmt_num(node.value)
-    if op == "x":
-        return "x"
-    if op == "neg":
-        return f"(-{_fmt(args[0], _PREC_PROD)})"
-    if op == "^":
-        text = f"{_fmt(args[0], _PREC_ATOM)}^{node.value}"
-        return f"({text})" if parent_prec > _PREC_POW else text
-    if op in _PREC_BINARY:
-        prec = _PREC_BINARY[op]
-        # the right operand always gets the next level: parsing is
-        # left-associative, and preserving association keeps the printed
-        # form bit-identical under floating-point evaluation
-        text = f"{_fmt(args[0], prec)} {op} {_fmt(args[1], prec + 1)}"
-        return f"({text})" if prec < parent_prec else text
-    if op in _SUBJECT_FUNCTIONS:
-        if args[0] != _X:
-            raise ValueError(
-                f"{op} applied to a substituted argument has no surface syntax; "
-                "composed expressions can be evaluated but not always printed"
-            )
-        args = args[1:]
-    return f"{op}({', '.join(_fmt(arg, _PREC_SUM) for arg in args)})"
-
-
-# ---------------------------------------------------------------------------
 # Parser (recursive descent over a token list)
 
 _TOKEN_RE = re.compile(
@@ -319,18 +278,4 @@ def compose(outer: BorelExpr, inner: BorelExpr) -> BorelExpr:
     eval(compose(b, c), x) reproduces eval(b, eval(c, x)) exactly,
     including at indicator boundaries.
     """
-    ast = _substitute(outer.ast, inner.ast)
-    try:
-        source = _fmt(ast, _PREC_SUM)
-    except ValueError:
-        source = f"compose[{outer.source} ; {inner.source}]"
-    return BorelExpr(ast=ast, source=source)
-
-
-def format_expr(b: BorelExpr) -> str:
-    """Canonical grammar text for the expression tree.
-
-    Raises ValueError for composed trees whose indicators no longer
-    test the evaluation point directly (they have no surface syntax).
-    """
-    return _fmt(b.ast, _PREC_SUM)
+    return BorelExpr(ast=_substitute(outer.ast, inner.ast), source=f"compose[{outer.source} ; {inner.source}]")

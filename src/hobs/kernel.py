@@ -56,6 +56,7 @@ PROJECTOR_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 RECONSTRUCT_TOL = 1e-8  # held-out first moments may deviate from the candidate's by this times max(1, ||T||_2)
 WITNESS_BLOCK = 512  # rays weighed per call; bounds a block's memory
+KS_SIGNIFICANCE = 1e-3  # pushforward_ks's level alpha
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +83,6 @@ class GammaModel:
     @classmethod
     def uniform(cls) -> "GammaModel":
         return cls(kind="uniform")
-
-    @classmethod
-    def complex_arg(cls) -> "GammaModel":
-        return cls(kind="arg")
 
 
 def gamma_from_complex(z) -> np.ndarray:
@@ -150,7 +147,9 @@ class HiddenPoint:
     def __post_init__(self):
         if not (0.0 < self.u < 1.0):
             raise ValueError(f"hidden parameter {self.u!r} outside (0, 1)")
-        object.__setattr__(self, "ray", StateVector(self.ray.components / np.linalg.norm(self.ray.components)))
+        c = self.ray.components
+        v = _binary_scale(c) * c  # a power of two: |v|^2 neither overflows nor underflows to 0
+        object.__setattr__(self, "ray", StateVector(v / np.linalg.norm(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +627,8 @@ class KsReport:
     passed: bool
 
 
-def pushforward_ks(
-    gamma: GammaModel, n: int, rng: np.random.Generator, significance: float = 1e-3
-) -> KsReport:
-    """Kolmogorov-Smirnov check of the u distribution against uniform(0,1).
+def pushforward_ks(gamma: GammaModel, n: int, rng: np.random.Generator) -> KsReport:
+    """Kolmogorov-Smirnov check of the u distribution against uniform(0,1) at level KS_SIGNIFICANCE.
 
     Uses the asymptotic critical value sqrt(-ln(alpha/2)/2)/sqrt(n).
     """
@@ -640,11 +637,11 @@ def pushforward_ks(
     d_plus = float(np.max(grid - u))
     d_minus = float(np.max(u - (grid - 1.0 / n)))
     statistic = max(d_plus, d_minus)
-    critical = math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
+    critical = math.sqrt(-0.5 * math.log(KS_SIGNIFICANCE / 2.0)) / math.sqrt(n)
     return KsReport(
         n_samples=n,
         statistic=statistic,
         critical_value=critical,
-        significance=significance,
+        significance=KS_SIGNIFICANCE,
         passed=statistic < critical,
     )

@@ -42,7 +42,7 @@ from .kernel import (
     _row_search_into,
     u_from_words,
 )
-from .spectral import DensityMatrix, StateVector, _check_dims, function_values
+from .spectral import DensityMatrix, StateVector, _binary_scale, _check_dims, function_values
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -66,6 +66,7 @@ class Ensemble:
             raise ValueError("ensemble weights must be strictly positive")
         if abs(float(np.sum(w)) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"ensemble weights sum to {float(np.sum(w))!r}, not 1")
+        r = _binary_scale(r, axis=1) * r  # a power of two per row: no |row|^2 overflows or underflows to 0
         norms = np.linalg.norm(r, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("ensemble rays must be nonzero")

@@ -157,10 +157,13 @@ def _cluster_means(values: np.ndarray, offsets: np.ndarray, weights=None) -> tup
     return means, totals
 
 
-def _binary_scale(m: np.ndarray) -> float:
-    # 2^-k taking m's largest real or imaginary part into [1/2, 1): norm tests on copies scaled by it cannot overflow;
-    # for a part below 2^-1024 (a subnormal) the scale stops at 2^1023, the largest finite one, and lifts it to >= 2^-51
-    return float(np.ldexp(1.0, min(-int(np.frexp(np.max(np.abs(m.view(float))))[1]), 1023)))
+def _binary_scale(m: np.ndarray, axis=None):
+    # 2^-k taking m's largest real or imaginary part (per row, as a column, when `axis` is given) into [1/2, 1): norm
+    # tests on copies scaled by it cannot overflow; for a part below 2^-1024 (a subnormal) the scale stops at 2^1023,
+    # the largest finite one, and lifts it to >= 2^-51
+    top = np.max(np.abs(m.view(float)), axis=axis, keepdims=axis is not None, initial=0.0)
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+    return float(scale) if axis is None else scale
 
 
 def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:

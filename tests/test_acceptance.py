@@ -50,7 +50,7 @@ from hobs import (
 )
 
 UNIFORM = GammaModel.uniform()
-ARG = GammaModel.complex_arg()
+ARG = GammaModel(kind="arg")
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -132,7 +132,7 @@ def test_criterion_4_spectral_support_strong_form():
 
 
 def test_criterion_5_gamma_pushforward_ks():
-    report = pushforward_ks(ARG, 100000, np.random.default_rng(5), significance=1e-3)
+    report = pushforward_ks(ARG, 100000, np.random.default_rng(5))
     # independent oracle: scipy's exact one-sample KS test
     from scipy import stats
 
@@ -140,7 +140,7 @@ def test_criterion_5_gamma_pushforward_ks():
         __import__("hobs").draw_u(ARG, np.random.default_rng(5), 100000)
     )
     scipy_p = stats.kstest(u, "uniform").pvalue
-    ok = report.passed and scipy_p > 1e-3
+    ok = report.passed and report.significance == 1e-3 and scipy_p > 1e-3
     _criterion(
         5,
         "hidden parameter pushforward is uniform",

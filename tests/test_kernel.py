@@ -62,7 +62,7 @@ from hobs.kernel import (
 )
 
 UNIFORM = GammaModel.uniform()
-ARG = GammaModel.complex_arg()
+ARG = GammaModel(kind="arg")
 
 
 def comonotone_law(parts, psi, combine=np.add):
@@ -159,6 +159,14 @@ class TestHiddenPoint:
     def test_normalizes_ray(self):
         p = HiddenPoint(ray=state(3, 4), u=0.5)
         assert np.linalg.norm(p.ray.components) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+    def test_extreme_ray_normalizes_to_the_unit_ray(self, magnitude):
+        # the ray is binary-scaled before its norm, whose square would overflow or underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = HiddenPoint(ray=state(magnitude, magnitude), u=0.5)
+        np.testing.assert_allclose(p.ray.components, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.5])
     def test_parameter_must_be_interior(self, u):

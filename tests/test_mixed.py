@@ -69,6 +69,31 @@ class TestEnsemble:
         ens = Ensemble(weights=np.array([1.0]), rays=np.array([[3.0, 4.0]], dtype=complex))
         assert np.linalg.norm(ens.rays[0]) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+    def test_extreme_rays_normalize_to_the_unit_ray(self, magnitude):
+        # each row is binary-scaled before its norm, whose square would overflow or underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = Ensemble(weights=[0.5, 0.5], rays=[[magnitude, magnitude], [3.0, 4.0]])
+        np.testing.assert_allclose(ens.rays[0], [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
+        in_range = np.array([3.0, 4.0], dtype=complex)
+        assert np.array_equal(ens.rays[1], in_range / np.linalg.norm(in_range))
+
+    def test_in_range_rays_keep_the_unscaled_bits(self):
+        # a power-of-two scale per row multiplies a row and its norm by the same power of two, exactly
+        rng = np.random.default_rng(8)
+        r = (rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))) * 10.0 ** rng.uniform(-60, 60, size=(40, 1))
+        ens = Ensemble(weights=np.full(40, 1 / 40), rays=r)
+        assert np.array_equal(ens.rays, r / np.linalg.norm(r, axis=1)[:, None])
+
+    def test_huge_ray_means(self):
+        # the unscaled norm overflowed to inf and the ray became 0: exact mean 0.0, Monte Carlo 1.0
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1e200, 1e200]]), gamma=UNIFORM)
+        assert exact_classical_mean(f, parse("x"), mu) == pytest.approx(0.5, rel=1e-15)
+        est = mc_estimate(f, parse("x"), mu, SampleStream(seed=3), 100000)
+        assert abs(est.mean - 0.5) <= 4.0 * est.std_error
+
     def test_weights_and_rays(self):
         ens = Ensemble(weights=[0.25, 0.75], rays=[[1, 0], [0, 2]])
         assert np.array_equal(ens.weights, [0.25, 0.75])
@@ -300,7 +325,7 @@ class TestMcEstimate:
 
     def test_arg_model_sampling_agrees_too(self):
         rng = np.random.default_rng(77)
-        gamma = GammaModel.complex_arg()
+        gamma = GammaModel(kind="arg")
         f = build_hidden_observable(random_hermitian(rng, 3), gamma)
         mu = mixed(random_density(rng, 3), gamma=gamma)
         exact = exact_classical_mean(f, parse("x"), mu)
@@ -341,7 +366,7 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
 
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
     def test_equal_at_any_block_size_and_worker_count(self, gamma):
         rng = np.random.default_rng(24)
         f = build_hidden_observable(random_hermitian(rng, 4), gamma)
@@ -410,7 +435,7 @@ def block_piece_counts(f, mu, stream, n):
 
 
 class TestCountReduction:
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_estimate_is_the_count_formula_for_any_partition(self, seed, gamma):
         rng = np.random.default_rng([93, seed])
@@ -436,7 +461,7 @@ class TestCountReduction:
 
 
 class TestStreamFit:
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel.complex_arg()], ids=["uniform", "arg"])
+    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
     def test_piece_counts_and_u_column_fit_their_laws(self, gamma):
         from scipy import stats
         rng = np.random.default_rng(4)
