@@ -145,6 +145,16 @@ class TestCompose:
         c = parse(random_expression_text(rng, depth=2))
         assert compose(b, c)(x) == b(c(x))
 
+    # the array path of the substituted tree, over deeper expressions than
+    # the scalar property above: every element bit for bit
+    @pytest.mark.parametrize("seed", range(20))
+    def test_composition_is_exact_on_a_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        b = parse(random_expression_text(rng, depth=3))
+        c = parse(random_expression_text(rng, depth=3))
+        xs = np.linspace(-10, 10, 1000)
+        np.testing.assert_array_equal(compose(b, c)(xs), b(c(xs)))
+
 
 class TestBounds:
     # no division and only unsigned integer powers: every expression is
