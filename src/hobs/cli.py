@@ -27,6 +27,7 @@ however the numbers are spelled (`1` or `1.0`, exponents, whitespace).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -75,13 +76,9 @@ class _InputError(click.ClickException):
     exit_code = 2
 
 
-def _load_complex(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The file's [re, im] pairs as a float64 array, which the input digest hashes, and its complex entries."""
+def _parse_pairs(path: str, text: bytes) -> np.ndarray:
     try:
-        text = Path(path).read_bytes()
         data = orjson.loads(text)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
     except orjson.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     # in text that parsed, a quote starts a string and "u" or "l" occur only in true, false
@@ -89,9 +86,26 @@ def _load_complex(path: str) -> tuple[np.ndarray, np.ndarray]:
     if b'"' in text or b"u" in text or b"l" in text:
         raise _InputError(f"{path}: entries must be JSON numbers, found a string, true, false or null")
     try:
-        pairs = np.asarray(data, dtype=float)
+        return np.asarray(data, dtype=float)
     except (ValueError, TypeError, OverflowError) as exc:
         raise _InputError(f"{path}: malformed numeric data: {exc}") from exc
+
+
+def _load_complex(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The file's [re, im] pairs as a float64 array, which the input digest hashes, and its complex entries."""
+    try:
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+    # a d x d matrix parses into d*d + d lists, none in a cycle: with the cyclic collector paused they
+    # trigger no collection, so no call walks them or the whole heap while another call does not
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        pairs = _parse_pairs(path, text)
+    finally:
+        if collecting:
+            gc.enable()
     if not np.all(np.isfinite(pairs)):
         raise _InputError(f"{path}: entries must be finite, found NaN or infinity")
     if not (pairs.ndim == 3 and pairs.shape[2] == 2 or pairs.ndim == 2 and pairs.shape[1] == 2):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -897,6 +898,36 @@ class TestLoaderDifferential:
         expected = np.asarray(json.loads(text), dtype=float)
         assert pairs.dtype == expected.dtype and pairs.shape == expected.shape
         assert pairs.tobytes() == expected.tobytes()
+
+
+class TestLoaderCollector:
+    """Parsing an input starts no cyclic collection, so a load costs the same in every call."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_no_collection_and_state_restored(self, tmp_path, enabled):
+        path = write_matrix(tmp_path / "m.json", random_hermitian(np.random.default_rng(3), 64).entries)
+        collections = []
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            gc.collect()
+            collections.clear()
+            pairs = _load_complex(path)[0]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.pop()
+            (gc.enable if was else gc.disable)()
+        assert pairs.shape == (64, 64, 2)
+        assert collections == []  # 64 * 64 + 64 lists: about six young collections without the pause
+
+    def test_input_error_restores_the_collector(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[[1, 2], [3,")
+        assert gc.isenabled()
+        with pytest.raises(click.ClickException, match="not valid JSON"):
+            _load_complex(str(path))
+        assert gc.isenabled()
 
 
 def _corrupt(path, flat_index, part, bad):
