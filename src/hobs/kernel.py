@@ -100,15 +100,16 @@ def gamma_from_complex(z) -> np.ndarray:
     return np.where(t == 0.0, _TINY, t)[()]
 
 
-def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map raw uniform words in [0, 1) to hidden parameters in (0, 1).
 
     This is the single place the two parameter models touch raw
     randomness, so counter-based streams and ordinary generators
-    produce identical values from identical words.
+    produce identical values from identical words.  The uniform model
+    writes u into `out` when one is given.
     """
     if gamma.kind == "uniform":
-        return np.maximum(w1, _TINY)  # 0 is the only word below _TINY
+        return np.maximum(w1, _TINY, out=out)  # 0 is the only word below _TINY
     # Box-Muller point of the standard complex Gaussian; the radius is
     # guarded away from 0 so the sampled line point is never the origin.
     r = np.sqrt(-2.0 * np.log1p(-w1))
@@ -188,28 +189,26 @@ def _row_search_into(table: tuple[np.ndarray, int], x: np.ndarray, rows, out: np
     `right`): the same count, ties included, as searchsorted.  x is never NaN here: u_from_words maps into (0, 1)
     and HiddenPoint validates its u.
 
-    The counts are written into `out`, and `scratch` is an intp, a float and an intp array of x's size (the
+    The counts are written into `out`, and `scratch` is an intp, a float and a bool array of x's size (the
     first only read when rows are given), so a call allocates no array.  Each pass keeps the position
     row * width + count, reads the edge it lands on through a view shifted by the step, and adds the step
-    where that edge is before x.
+    where that edge is before x.  One row's first pass starts every point at 0, so it compares x with one edge.
     """
     (flat, width), (pos, edge, hit) = table, scratch
-    before = np.less_equal if right else np.less
-    if rows is None:
-        pos = out
-        pos.fill(0)
-    else:
-        np.multiply(rows, width, out=pos)
-    step = width >> 1
+    before, step = (np.less_equal if right else np.less), width >> 1
+    if rows is None:  # a width-1 table compares x with its +inf pad and multiplies by step 0: no pass
+        pos = np.multiply(before(flat[step - 1], x, out=hit), step, out=out)
+        step >>= 1
+    else:  # out keeps each row's start, subtracted at the end
+        np.copyto(pos, np.multiply(rows, width, out=out))
+    steps = edge.view(np.intp)  # the edges a pass read are spent when it adds its steps
     while step:
         # flat[pos + step - 1]; every position is in range, and mode="clip" writes into `edge` unbuffered
         np.take(flat[step - 1 :], pos, out=edge, mode="clip")
-        before(edge, x, out=hit)
-        hit *= step
-        pos += hit
+        pos += np.multiply(before(edge, x, out=hit), step, out=steps)
         step >>= 1
     if rows is not None:
-        np.subtract(pos, np.multiply(rows, width, out=out), out=out)
+        np.subtract(pos, out, out=out)
     return out
 
 
@@ -217,7 +216,7 @@ def _piece_index(cumulative: np.ndarray, u) -> np.ndarray:
     """First index with cumulative weight >= u (the quasi-inverse tie rule), in u's shape: a scalar, or an array."""
     x = np.ravel(u)
     out = np.empty(x.size, dtype=np.intp)
-    _row_search_into(_padded(cumulative), x, None, out, (None, np.empty(x.size), np.empty(x.size, dtype=np.intp)))
+    _row_search_into(_padded(cumulative), x, None, out, (None, np.empty(x.size), np.empty(x.size, dtype=bool)))
     return out.reshape(np.shape(u))[()]
 
 

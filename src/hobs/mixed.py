@@ -9,11 +9,12 @@ finite sums computed here and statistically for the sampling paths.
 Sampling follows a seekable-stream contract: sample i consumes exactly
 the 64-bit words w*i..w*i+w-1 of a PCG64DXSM stream seeded by the seed,
 w = 2 under the uniform model and 3 under arg, reached by advancing the
-stream, so any block of samples is drawn on its own.  Each worker draws
-every block of a call into one set of arrays, words included, and drops
-them when the call returns.  Every sampled value of b(f) is b at one of
-the m pieces of f, so a Monte Carlo estimate reduces its samples to
-exact integer counts per piece, and its mean and spread follow from m
+stream, so any block of samples is drawn on its own.  Each worker seeds
+one generator per call, rewinds and advances it for each block, and draws
+every block into one set of arrays (a uniform-model block allocates none);
+it drops both when the call returns.  Every sampled value of b(f) is b at
+one of the m pieces of f, so a Monte Carlo estimate reduces its samples
+to exact integer counts per piece, and its mean and spread follow from m
 counts.  Serial and worker-parallel runs therefore produce bit-identical
 results for any worker count and block size.
 """
@@ -25,13 +26,13 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import IO
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
 
-from .errors import EigensolverFailure
 from .kernel import (
     GammaModel,
     HiddenObservable,
@@ -96,11 +97,8 @@ class HiddenMixedState:
 
 
 def ensemble_from_density(D: DensityMatrix) -> Ensemble:
-    """Canonical eigen-ensemble of D; zero-weight eigenvectors are dropped."""
-    try:
-        w, v = np.linalg.eigh(D.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    """Canonical eigen-ensemble of D, from the eigh its check made; zero-weight eigenvectors are dropped."""
+    w, v = D.eigh
     keep = w > WEIGHT_DROP_TOL
     w = w[keep]
     return Ensemble(weights=w / np.sum(w), rays=v[:, keep].T)
@@ -144,19 +142,33 @@ class SampleStream:
     Sample i reads words w*i..w*i+w-1 of one PCG64DXSM stream seeded by
     `seed`, w words per sample; `advance` jumps to any sample in
     O(log n) steps, so any contiguous range of samples can be generated
-    independently of how the range is partitioned across workers.  The
-    default block size keeps the arrays a worker reuses for every block
-    of a call under 1 MB.
+    independently of how the range is partitioned across workers.  A
+    worker seeds one `generator()` per call, and each block restores it
+    to the saved start state and advances it.  The default block size
+    keeps the arrays a worker reuses for every block of a call under
+    1.2 MB.
     """
 
     seed: int
     block_size: int = 16384
 
-    def raw_words(self, start: int, count: int, width: int, out: np.ndarray) -> np.ndarray:
-        """Uniform [0,1) words for samples [start, start+count), shape (count, width): a view of the flat `out`."""
-        bg = PCG64DXSM(self.seed)
-        bg.advance(width * start)
-        return Generator(bg).random(out=out[: count * width].reshape(count, width))
+    def generator(self) -> Generator:
+        """A generator of this stream, for every raw_words call of one thread."""
+        return Generator(PCG64DXSM(self.seed))
+
+    @cached_property
+    def _start(self) -> dict:
+        return PCG64DXSM(self.seed).state
+
+    def raw_words(self, start: int, count: int, width: int, out: np.ndarray, rng=None) -> np.ndarray:
+        """Uniform [0,1) words for samples [start, start+count), shape (count, width): a view of the flat `out`.
+
+        `rng`, a `generator()` in any state (a new one if None), is rewound to the stream's start and advanced.
+        """
+        rng = rng or self.generator()
+        rng.bit_generator.state = self._start
+        rng.bit_generator.advance(width * start)
+        return rng.random(out=out[: count * width].reshape(count, width))
 
     def blocks(self, n: int):
         """The fixed partition plan: [start, stop) slices of block_size."""
@@ -176,25 +188,28 @@ def _sampling_tables(f: HiddenObservable, mu: HiddenMixedState):
 
 
 def _block_arrays(size: int) -> list[np.ndarray]:
-    """Arrays for blocks of up to `size` samples: words (3 a sample, the widest layout), k, pieces, search scratch."""
-    return [np.empty(3 * size), *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size),
-            np.empty(size, dtype=np.intp)]
+    """Arrays for blocks of up to `size` samples: words (3 a sample, the widest layout), word 0, u, k, pieces, and
+    the search scratch."""
+    return [np.empty(3 * size), np.empty(size), np.empty(size), *(np.empty(size, dtype=np.intp) for _ in range(3)),
+            np.empty(size), np.empty(size, dtype=bool)]
 
 
-def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: int, count: int, arrays=None):
-    """Component indices and hidden parameters for one sample range, drawn into `arrays` (of count samples) if given."""
-    buffer, k, _, *scratch = arrays or _block_arrays(count)
-    words = stream.raw_words(start, count, SAMPLE_WORDS[mu.gamma.kind], buffer)
-    _row_search_into(components, words[:, 0], None, k, scratch, right=True)
+def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: int, count: int, arrays=None, rng=None):
+    """Component indices and hidden parameters for one sample range, drawn by `rng` (see raw_words) into `arrays`
+    (of count samples) if given."""
+    buffer, first, u, k, _, *scratch = arrays or _block_arrays(count)
+    words = stream.raw_words(start, count, SAMPLE_WORDS[mu.gamma.kind], buffer, rng)
+    np.copyto(first, words[:, 0])  # the search passes read a contiguous column
+    _row_search_into(components, first, None, k, scratch, right=True)
     # the last word is word 2 under arg; the uniform map reads only word 1
-    return k, u_from_words(mu.gamma, words[:, 1], words[:, -1])
+    return k, u_from_words(mu.gamma, words[:, 1], words[:, -1], out=u)
 
 
-def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays):
+def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays, rng=None):
     """Component indices, hidden parameters and quantile pieces (row k of the piece table) of a sample range, in
     `_block_arrays` of count samples."""
-    k, u = _draw_block(mu, tables[0], stream, start, count, arrays)
-    return k, u, _row_search_into(tables[1], u, k, arrays[2], arrays[3:])
+    k, u = _draw_block(mu, tables[0], stream, start, count, arrays, rng)
+    return k, u, _row_search_into(tables[1], u, k, arrays[4], arrays[5:])
 
 
 def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[HiddenPoint]:
@@ -213,18 +228,19 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
 def _sample_blocks(f: HiddenObservable, mu: HiddenMixedState, stream: SampleStream, n: int, workers: int, reduce):
     """reduce(k, u, pieces) of each block of n samples, in block order; the dimension check and tables run on the call.
 
-    reduce runs in the call that draws its block, and each thread draws every block into one set of arrays, made
-    on its first block and dropped with the call's blocks: a block's arrays freed to the heap and allocated again
-    made the heap trim and fault pages back in on every block, depending on the process's allocation history.
+    reduce runs in the call that draws its block, and each thread draws every block with one generator into one set
+    of arrays, made on its first block and dropped with the call's blocks: a block's arrays freed to the heap and
+    allocated again made the heap trim and fault pages back in on every block, depending on allocation history.
     """
     tables, local = _sampling_tables(f, mu), threading.local()
 
     def fn(block):
         start, count = block
         if not hasattr(local, "arrays"):
-            local.arrays = _block_arrays(stream.block_size)
+            local.arrays, local.rng = _block_arrays(stream.block_size), stream.generator()
         words, *rest = local.arrays  # raw_words cuts the word buffer to the words it draws
-        return reduce(*_block_values(tables, mu, stream, start, count, [words, *(a[:count] for a in rest)]))
+        arrays = [words, *(a[:count] for a in rest)]
+        return reduce(*_block_values(tables, mu, stream, start, count, arrays, local.rng))
 
     blocks = stream.blocks(n)
     return map(fn, blocks) if workers == 1 else _threaded_blocks(fn, blocks, workers)

@@ -6,7 +6,7 @@ read-only), so any operation here may be called concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,8 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit trace."""
 
     entries: np.ndarray
+    # np.linalg.eigh(entries), made once: the check reads its eigenvalues, ensemble_from_density its eigenvectors
+    eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
@@ -91,10 +93,11 @@ class DensityMatrix:
         trace = np.trace(m).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"density matrix trace {float(trace)!r} != 1")
-        eigenvalues = np.linalg.eigvalsh(m)
+        eigenvalues, vectors = np.linalg.eigh(m)
         if eigenvalues.min() < DENSITY_EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
         object.__setattr__(self, "entries", _readonly(m))
+        object.__setattr__(self, "eigh", (_readonly(eigenvalues), _readonly(vectors)))
 
     @property
     def dim(self) -> int:

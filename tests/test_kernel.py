@@ -247,6 +247,11 @@ def edge_rows(draw):
     return edges, x, rng.integers(0, k, size=n)
 
 
+def stale_scratch(n):
+    """out and the intp, float and bool search scratch of n points, holding an earlier block's values."""
+    return np.full(n, -7, dtype=np.intp), [np.full(n, -7, dtype=np.intp), np.full(n, np.nan), np.ones(n, dtype=bool)]
+
+
 class TestRowSearch:
     @given(edge_rows(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -256,10 +261,10 @@ class TestRowSearch:
         m = edges.shape[1]
         expected = [min(np.searchsorted(edges[r], xi, side), m - 1) for r, xi in zip(rows, x)]
         # the search of sample blocks, into arrays holding an earlier block's values
-        stale = np.full(x.size, -7, dtype=np.intp)
-        out, scratch = stale.copy(), [stale.copy(), np.full(x.size, np.nan), stale.copy()]
+        out, scratch = stale_scratch(x.size)
         assert np.array_equal(_row_search_into(_padded(edges), x, rows, out, scratch, right), expected)
         row = edges[rows[0]]  # a single 1-D row
+        out, scratch = stale_scratch(x.size)
         assert np.array_equal(_row_search_into(_padded(row), x, None, out, scratch, right),
                               np.minimum(np.searchsorted(row, x, side), m - 1))
         # _piece_index, the left search of one row, keeps the shape of its points: scalar and 0-d points give 0-d
@@ -268,13 +273,39 @@ class TestRowSearch:
             found = _piece_index(row, point)
             assert np.ndim(found) == 0 and found == min(np.searchsorted(row, x[0]), m - 1)
 
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    def test_one_row_first_pass_and_width_one(self, right):
+        # m edges search m - 1 padded to widths 1 (m = 1: no pass) to 128; a one-row search compares its points
+        # with one edge on the first pass; the points sit on, just below and just above every edge
+        side = "right" if right else "left"
+        for m in range(1, 129):
+            rng = np.random.default_rng(m)
+            weights = rng.choice([0.0, 0.25, 1.0], size=m)
+            weights[rng.integers(m)] = 1.0
+            row = _cumulative(weights / weights.sum())
+            x = np.concatenate(([0.0], row, np.nextafter(row, 0.0), np.nextafter(row, 1.0), rng.random(20)))
+            x = np.minimum(x, np.nextafter(1.0, 0.0))
+            expected = np.minimum(np.searchsorted(row, x, side), m - 1)
+            assert _padded(row)[1] == 1 << (m - 1).bit_length()
+            out, scratch = stale_scratch(x.size)
+            assert np.array_equal(_row_search_into(_padded(row), x, None, out, scratch, right), expected), m
+            # the row stacked twice and searched by rows: a gathered first pass
+            out, scratch = stale_scratch(x.size)
+            rows = rng.integers(0, 2, size=x.size)
+            assert np.array_equal(_row_search_into(_padded(np.stack([row, row])), x, rows, out, scratch, right),
+                                  expected), m
+
     def test_piece_index_tie_rule_on_a_stack(self):
         cumulative = np.array([[0.0, 0.5, 0.5, 1.0], [0.25, 0.25, 1.0, 1.0]])
         u = np.array([0.0, 0.5, 0.5000000000000001, 0.25, 0.3, 1.0])
         rows = np.array([0, 0, 0, 1, 1, 1])
-        out, scratch = np.empty(6, dtype=np.intp), [np.empty(6, dtype=np.intp), np.empty(6), np.empty(6, dtype=np.intp)]
+        out, scratch = stale_scratch(6)
         assert _row_search_into(_padded(cumulative), u, rows, out, scratch).tolist() == [0, 1, 3, 0, 2, 2]
         assert [_piece_index(cumulative[r], ui) for r, ui in zip(rows, u)] == [0, 1, 3, 0, 2, 2]
+        for r in (0, 1):  # each row alone: the first pass compares with its one edge
+            out, scratch = stale_scratch(3)
+            expected = [0, 1, 3] if r == 0 else [0, 2, 2]
+            assert _row_search_into(_padded(cumulative[r]), u[rows == r], None, out, scratch).tolist() == expected
 
 
 class TestHiddenObservable:

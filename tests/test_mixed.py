@@ -228,16 +228,20 @@ class TestSampleStream:
     @pytest.mark.parametrize("width", [2, 3])
     def test_block_into_reused_buffer_is_the_rows_of_one_long_draw(self, width):
         # the layout contract: sample i is words width*i .. width*i + width - 1 of one stream, whatever
-        # the buffer held before
+        # the buffer held before and wherever the worker's generator was left
         stream = SampleStream(seed=77, block_size=1000)
         whole = fresh_words(stream, 0, 5000, width)
         assert whole.shape == (5000, width)
-        buffer = np.full(3 * stream.block_size, np.nan)
-        for start in (0, 1000, 2500, 4000):
-            block = stream.raw_words(start, 1000, width, buffer)
-            assert np.shares_memory(block, buffer)
-            assert np.array_equal(block, whole[start : start + 1000])
-        assert np.array_equal(stream.raw_words(4990, 10, width, buffer), whole[4990:])
+        buffer, rng = np.full(3 * stream.block_size, np.nan), stream.generator()
+        rng.integers(2**32, dtype=np.uint32)  # leaves half a word buffered
+        # in order, backwards, a repeated start, the last partial block, and a block off the block grid
+        for start, count in [(0, 1000), (1000, 1000), (4000, 1000), (2500, 1000), (1000, 1000), (1000, 1000),
+                             (4990, 10), (0, 1000), (3001, 7)]:
+            for generator in (None, rng):
+                block = stream.raw_words(start, count, width, buffer, generator)
+                assert np.shares_memory(block, buffer)
+                assert np.array_equal(block, whole[start : start + count])
+            rng.random()  # a draw between blocks moves the generator on
 
     def test_blocks_cover_range(self):
         stream = SampleStream(seed=0, block_size=100)
@@ -537,15 +541,21 @@ class TestBlockSearch:
         pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
 
         class PinnedStream(SampleStream):  # the first words of the block sit on the cumulative weights
-            def raw_words(self, start, count, width, out):
-                words = super().raw_words(start, count, width, out)
+            def raw_words(self, start, count, width, out, rng=None):
+                words = super().raw_words(start, count, width, out, rng)
                 words[: pinned.size, 0] = pinned
                 return words
 
         stream = PinnedStream(seed=11)
-        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
         first = fresh_words(stream, 0, 1000, SAMPLE_WORDS["uniform"])[:, 0]
-        assert np.array_equal(k, np.minimum(np.searchsorted(cumulative, first, "right"), size - 1))
+        expected = np.minimum(np.searchsorted(cumulative, first, "right"), size - 1)
+        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
+        assert np.array_equal(k, expected)
+        # a worker's generator, moved on by an earlier block, and its arrays, holding that block's values
+        rng, arrays = stream.generator(), _block_arrays(1000)
+        _draw_block(mu, _components(mu), stream, 5000, 1000, arrays, rng)
+        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000, arrays, rng)
+        assert np.array_equal(k, expected)
 
 
 class TestCsvDump:
