@@ -368,12 +368,11 @@ def cmd_context(family_files, trials, seed, tolerance, output_path):
     _same_dimension(family_files, family)
 
     def run():
-        rng = np.random.default_rng(seed)
         try:
-            ctx = joint_diagonalize(family, rng=rng)
+            ctx = joint_diagonalize(family)
         except NotCommuting as exc:
             return {"branch": "not-commuting", "detail": str(exc)}, False
-        report = homomorphism_check(ctx, trials=trials, rng=rng, operator_tol=tolerance)
+        report = homomorphism_check(ctx, trials=trials, rng=np.random.default_rng(seed), operator_tol=tolerance)
         results = {
             "branch": "context",
             "max_operator_error": report.max_operator_error,

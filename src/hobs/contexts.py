@@ -1,7 +1,8 @@
 """Commutative context algebras driven by one generator observable.
 
 A context packages a commuting operator family as transfer tables over
-a common generator: joint-diagonalizing the family yields integer
+a common generator: joint-diagonalizing the family (each member's
+eigenspaces found inside those of the members before it) yields integer
 labels 1..m for the joint eigenspaces, a generator operator carrying
 exactly those labels as eigenvalues, and per-member tables reading each
 operator's value on each joint eigenspace.  Every member function then
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .kernel import (
     PROJECTOR_TOL,
+    RECONSTRUCT_TOL,
     WITNESS_BLOCK,
     GammaModel,
     HiddenObservable,
@@ -47,6 +49,8 @@ from .kernel import (
     random_ray,
 )
 from .spectral import (
+    EIGENVALUE_MERGE_RTOL,
+    HERMITICITY_RTOL,
     HermitianOperator,
     SpectralDecomposition,
     _binary_scale,
@@ -58,7 +62,6 @@ from .spectral import (
     validate_hermitian,
 )
 
-JOINT_DIAG_TOL = 1e-8
 OPERATOR_SIDE_TOL = 1e-8
 
 SHARED_U_CAVEAT = (
@@ -94,21 +97,16 @@ class Context:
         return len(self.decomposition.eigenvalues)
 
 
-def joint_diagonalize(
-    family: Sequence[HermitianOperator],
-    gamma: GammaModel = GammaModel.uniform(),
-    *,
-    rng: np.random.Generator | None = None,
-    retries: int = 8,
-) -> Context:
-    """Build the context of a commuting family.
+def joint_diagonalize(family: Sequence[HermitianOperator], gamma: GammaModel = GammaModel.uniform()) -> Context:
+    """Build the context of a commuting family by successive refinement.
 
-    A generic real combination of the family (coefficients uniform in
-    [1, 2]) is eigendecomposed; its eigenvalue clusters are the joint
-    eigenspaces with probability one.  Each member must act as a scalar
-    on each cluster, verified by reconstructing it from its transfer
-    table; a failed draw (a collision of distinct joint eigenspaces) is
-    retried with fresh coefficients.
+    Starting from one block, the identity basis, each member in family
+    order is compressed to every block wider than one column and
+    eigendecomposed there; the block is split wherever consecutive
+    eigenvalues differ by more than EIGENVALUE_MERGE_RTOL times the
+    member's spread (at least 1) or HERMITICITY_RTOL times its norm,
+    whichever is larger.  Each member must then act as a scalar on each
+    final block, verified by reconstructing it from its transfer table.
     """
     ops = list(family)
     if not ops:
@@ -120,44 +118,42 @@ def joint_diagonalize(
         for j in range(i + 1, len(ops)):
             if not commutes(ops[i], ops[j]):
                 raise NotCommuting(f"family members {i} and {j} do not commute within tolerance")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    # the combination is taken of copies scaled by a power of two s, so it cannot overflow;
-    # its clusters are those at JOINT_DIAG_TOL * max(1, max|w|) in unscaled units
-    s = min(_binary_scale(op.entries) for op in ops)
-    scaled = [s * op.entries for op in ops]
-
-    last_error = 0.0
-    for _ in range(retries):
-        coeffs = rng.uniform(1.0, 2.0, size=len(ops))
-        combo = np.tensordot(coeffs, scaled, axes=1)
-        # a scalar shift moves no eigenspace; without this one, a large common
-        # offset would set the cluster tolerance and merge distinct joint eigenspaces
-        combo = combo - np.trace(combo).real / dim * np.eye(dim)
-        w, v = np.linalg.eigh((combo + combo.conj().T) / 2.0)
-        offsets = _cluster_offsets(w, JOINT_DIAG_TOL * max(s, float(np.max(np.abs(w)))))
-        labels = np.arange(1, len(offsets) + 1, dtype=float)
-        decomposition = SpectralDecomposition(eigenvalues=labels, vectors=v, offsets=offsets)
-
-        transfers = []
-        worst = 0.0
-        for op in ops:
-            table = _cluster_means(np.diag(v.conj().T @ op.entries @ v).real, offsets)[0]
-            rebuilt = decomposition.operator_with_values(table)
-            worst = max(worst, _relative_error(rebuilt, op.entries))
-            transfers.append(table)
-        if worst > JOINT_DIAG_TOL:
-            last_error = worst
-            continue
-
-        generator = HermitianOperator(entries=decomposition.operator_with_values(labels))
-        f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=labels)
-        members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
-        return Context(f0=f0, members=members)
-
-    raise DegeneracyResolutionFailure(
-        f"no generic combination split the joint eigenspaces in {retries} draws "
-        f"(last reconstruction error {last_error:.3e})"
-    )
+    v = np.eye(dim, dtype=complex)
+    offsets = np.array([0])
+    for op in ops:
+        # a copy scaled by a power of two s cannot overflow; its mean eigenvalue is removed, since a common
+        # offset moves no eigenspace and would otherwise set the split tolerance
+        s = _binary_scale(op.entries)
+        scaled = s * op.entries
+        a = scaled - np.trace(scaled).real / dim * np.eye(dim)
+        # the shift-invariant rule, floored at the rounding residue that validate_hermitian tolerates
+        floor = HERMITICITY_RTOL * float(np.linalg.norm(scaled))
+        gap_tol = max(EIGENVALUE_MERGE_RTOL * max(s, float(np.linalg.norm(a))), floor)
+        starts = []
+        for start, stop in zip(offsets, np.append(offsets[1:], dim)):
+            if stop - start > 1:
+                q = v[:, start:stop]
+                w, u = np.linalg.eigh(q.conj().T @ a @ q)
+                v[:, start:stop] = q @ u
+                starts.append(start + _cluster_offsets(w, gap_tol))
+            else:
+                starts.append([start])
+        offsets = np.concatenate(starts)
+    labels = np.arange(1, len(offsets) + 1, dtype=float)
+    decomposition = SpectralDecomposition(eigenvalues=labels, vectors=v, offsets=offsets)
+    transfers = []
+    for i, op in enumerate(ops):
+        table = _cluster_means(np.diag(v.conj().T @ op.entries @ v).real, offsets)[0]
+        error = _relative_error(decomposition.operator_with_values(table), op.entries)
+        if error > RECONSTRUCT_TOL:
+            raise DegeneracyResolutionFailure(
+                f"the refined joint eigenspaces do not reconstruct family member {i} (relative error {error:.3e})"
+            )
+        transfers.append(table)
+    generator = HermitianOperator(entries=decomposition.operator_with_values(labels))
+    f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=labels)
+    members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
+    return Context(f0=f0, members=members)
 
 
 def _combined_table(tables: np.ndarray, coeffs: np.ndarray, op: str) -> np.ndarray:
@@ -324,7 +320,7 @@ def nogo_witness(
     rng = rng if rng is not None else np.random.default_rng(0)
     threshold = 10.0 * tolerance
     if commutes(A, B):
-        ctx = joint_diagonalize([A, B], gamma, rng=rng)
+        ctx = joint_diagonalize([A, B], gamma)
         return NogoReport(
             branch="commuting",
             gap=0.0,

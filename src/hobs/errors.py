@@ -46,7 +46,7 @@ class NotCommuting(HobsError):
 
 
 class DegeneracyResolutionFailure(HobsError):
-    """Generic-combination retries failed to split joint eigenspaces."""
+    """The refined joint eigenspaces do not reconstruct a family member."""
 
 
 class NotOrthogonalFamily(HobsError):

@@ -198,7 +198,7 @@ def test_criterion_7_context_homomorphism():
             coeffs = rng.uniform(-1.0, 1.0, size=4)
             entries = sum(c * np.linalg.matrix_power(base.entries, k) for k, c in enumerate(coeffs))
             family.append(validate_hermitian(entries))
-        ctx = joint_diagonalize(family, UNIFORM, rng=rng)
+        ctx = joint_diagonalize(family, UNIFORM)
         report = homomorphism_check(ctx, trials=8, rng=rng)
         ok = ok and report.passed and report.max_operator_error <= 1e-8
         ok = ok and report.max_additive_deviation == 0.0 and report.max_multiplicative_deviation == 0.0

@@ -407,6 +407,43 @@ class TestContext:
             f"Error: dimension mismatch: {files['diag12']} is 2x2, {files['dim3']} is 3x3"
         ]
 
+    @pytest.mark.parametrize(
+        "command, large, small",
+        [
+            ("context", [1e9, 1e9, 1.0], [0.0, 1.0, 2.0]),
+            ("nogo", [1e9, 1e9, 1.0], [0.0, 1.0, 2.0]),
+            ("context", [1e12, 1e12, 1.0], [0.0, 1e-3, 2e-3]),
+        ],
+        ids=["context-1e9", "nogo-1e9", "context-1e12"],
+    )
+    def test_members_of_far_apart_scales_split(self, runner, tmp_path, command, large, small):
+        # the small member's gaps are below 1e-9 of the large member's spread, so each member is split at its own scale
+        a = write_matrix(tmp_path / "a.json", np.diag(large))
+        b = write_matrix(tmp_path / "b.json", np.diag(small))
+        result = runner.invoke(cli, [command, a, b])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["n_labels"] == 3
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_rounding_does_not_split_a_repeated_eigenvalue(self, runner, tmp_path, dim):
+        # T = U (1e8 I + diag(0, ..., 0, 0.01)) U^dagger: rounding spreads the (d-1)-fold eigenvalue by up to about
+        # 1e-7, far above 1e-9 max(1, spread of T), and below the 1e-12 ||T||_F that validate_hermitian tolerates
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        m = (q * (1e8 + np.append(np.zeros(dim - 1), 0.01))) @ q.conj().T
+        t = write_matrix(tmp_path / "T.json", (m + m.conj().T) / 2)
+        result = runner.invoke(cli, ["context", t, t])
+        assert result.exit_code == 0, result.output
+        assert report_of(result)["results"]["n_labels"] == 2
+
+    def test_seed_moves_only_the_homomorphism_check(self, runner, tmp_path):
+        rng = np.random.default_rng(9)
+        base = random_hermitian(rng, 4).entries
+        paths = [write_matrix(tmp_path / "A.json", base), write_matrix(tmp_path / "B.json", base @ base - base)]
+        results = [report_of(runner.invoke(cli, ["context", *paths, "--seed", seed]))["results"] for seed in "01"]
+        assert results[0]["n_labels"] == results[1]["n_labels"] == 4
+        assert results[0]["transfer_tables"] == results[1]["transfer_tables"]
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["context", files["diag12"], files["diag55"], "--trials", "3"])
         digest = report_of(result)["inputs_digest"]
@@ -450,7 +487,7 @@ class TestNogo:
         assert report_of(result)["results"]["branch"] == "commuting"
 
     def test_commuting_pair_near_largest_double(self, runner, tmp_path):
-        # a random combination of the unscaled copies would overflow, and eigh would not converge on it
+        # norms of the unscaled members overflow; each member is refined as a copy scaled by a power of two
         huge = write_matrix(tmp_path / "huge.json", np.diag([1e308, 1e308, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
@@ -459,6 +496,13 @@ class TestNogo:
         results = report_of(result)["results"]
         assert results["branch"] == "commuting" and results["n_labels"] == 2
         assert results["transfer_tables"] == {"member_0": {"1": 1.0, "2": 1e308}, "member_1": {"1": 1.0, "2": 1e308}}
+
+    def test_misjudged_commuting_pair_is_numeric_failure(self, runner, tmp_path):
+        # 2^-20 (Z, X) passes the commutation test under its absolute floor, and no joint eigenbasis rebuilds both
+        z = write_matrix(tmp_path / "z.json", 2.0**-20 * PAULI_Z)
+        x = write_matrix(tmp_path / "x.json", 2.0**-20 * PAULI_X)
+        result = runner.invoke(cli, ["nogo", z, x])
+        assert result.exit_code == 3, result.output
 
     def test_same_file_commutes(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])

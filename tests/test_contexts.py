@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, op, random_hermitian, random_projector, state
 
@@ -73,7 +75,7 @@ class TestJointDiagonalize:
         # tolerance scaled by the offset instead of the spread would merge
         rng = np.random.default_rng(seed)
         T = shift * np.eye(dim) + random_hermitian(rng, dim, scale=0.01).entries
-        ctx = joint_diagonalize([op(T), op(T @ T - T)], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([op(T), op(T @ T - T)], UNIFORM)
         assert ctx.n_labels == dim
         np.testing.assert_allclose(np.sort(ctx.members[0].values), np.linalg.eigvalsh(T), rtol=0.0, atol=1e-6)
 
@@ -94,7 +96,7 @@ class TestJointDiagonalize:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 10))
         family = random_commuting_family(rng, dim, size=int(rng.integers(2, 5)))
-        ctx = joint_diagonalize(family, UNIFORM, rng=rng)
+        ctx = joint_diagonalize(family, UNIFORM)
         m = len(ctx.decomposition.eigenvalues)
         assert np.array_equal(ctx.decomposition.eigenvalues, np.arange(1, m + 1, dtype=float))
         for member in ctx.members:
@@ -109,20 +111,43 @@ class TestJointDiagonalize:
         from hobs import apply_borel
 
         rng = np.random.default_rng(50)
-        ctx = joint_diagonalize(random_commuting_family(rng, 5, 2), UNIFORM, rng=rng)
+        ctx = joint_diagonalize(random_commuting_family(rng, 5, 2), UNIFORM)
         for member in ctx.members:
             table = member.values
             rebuilt = apply_borel(ctx.decomposition, lambda lam: table[int(round(lam)) - 1])
             scale = max(1.0, np.linalg.norm(member.operator.entries))
             assert np.linalg.norm(rebuilt.entries - member.operator.entries) <= 1e-8 * scale
 
-    def test_retries_exhausted_raises(self):
+    def test_misjudged_commuting_pair_fails_reconstruction(self):
+        # 2^-20 (Z, X) passes commutes() under its absolute floor; the blocks refined on Z cannot carry X
         with pytest.raises(DegeneracyResolutionFailure):
-            joint_diagonalize([op(np.eye(2))], UNIFORM, retries=0)
+            joint_diagonalize([op(2.0**-20 * PAULI_Z), op(2.0**-20 * PAULI_X)], UNIFORM)
+
+    @given(
+        dim=st.integers(2, 8),
+        digits=st.lists(st.lists(st.integers(0, 2), min_size=8, max_size=8), min_size=1, max_size=3),
+        exponents=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_members_split_at_their_own_scales(self, dim, digits, exponents, seed):
+        # members diagonal in one unitary basis, with repeated values and scales up to 2^40 apart: the labels
+        # are the distinct joint value tuples, whatever each member's scale
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        values = [np.ldexp(np.array(row[:dim], dtype=float), e) for row, e in zip(digits, exponents)]
+        rotated = [(q * v) @ q.conj().T for v in values]
+        family = [validate_hermitian((m + m.conj().T) / 2) for m in rotated]
+        ctx = joint_diagonalize(family, UNIFORM)
+        assert ctx.n_labels == len(set(zip(*(v.tolist() for v in values))))
+        for member in ctx.members:
+            rebuilt = ctx.decomposition.operator_with_values(member.values)
+            scale = max(1.0, np.linalg.norm(member.operator.entries))
+            assert np.linalg.norm(rebuilt - member.operator.entries) <= 1e-8 * scale
 
     def test_generator_spectrum_is_exact_integers(self):
         rng = np.random.default_rng(40)
-        ctx = joint_diagonalize(random_commuting_family(rng, 6, 3), UNIFORM, rng=rng)
+        ctx = joint_diagonalize(random_commuting_family(rng, 6, 3), UNIFORM)
         assert ctx.f0.decomposition.eigenvalues.dtype == np.float64
         assert all(float(x).is_integer() for x in ctx.f0.decomposition.eigenvalues)
 
@@ -139,7 +164,7 @@ class TestContextMembers:
     def test_generator_member_matches_f0(self):
         rng = np.random.default_rng(2)
         base = random_hermitian(rng, 4)
-        ctx = joint_diagonalize([base], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([base], UNIFORM)
         g = ctx.members[0]
         for _ in range(10):
             point = HiddenPoint(ray=random_ray(rng, 4), u=float(rng.uniform(0.01, 0.99)))
@@ -148,7 +173,7 @@ class TestContextMembers:
 
     def test_involution_member_matches_standalone_quantile(self):
         rng = np.random.default_rng(3)
-        ctx = joint_diagonalize([op(PAULI_X)], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([op(PAULI_X)], UNIFORM)
         g = ctx.members[0]
         f = build_hidden_observable(op(PAULI_X), UNIFORM)
         psi = state(1, 0)
@@ -159,7 +184,7 @@ class TestContextMembers:
     def test_reconstructed_operator_is_member(self):
         rng = np.random.default_rng(4)
         family = random_commuting_family(rng, 5, 3)
-        ctx = joint_diagonalize(family, UNIFORM, rng=rng)
+        ctx = joint_diagonalize(family, UNIFORM)
         for i, member in enumerate(ctx.members):
             rebuilt = orthodoxy_reconstruct(ctx.members[i], rng=rng)
             scale = max(1.0, np.linalg.norm(member.operator.entries))
@@ -168,7 +193,7 @@ class TestContextMembers:
     def test_statistically_equivalent_to_standalone(self):
         rng = np.random.default_rng(5)
         family = random_commuting_family(rng, 6, 2)
-        ctx = joint_diagonalize(family, UNIFORM, rng=rng)
+        ctx = joint_diagonalize(family, UNIFORM)
         rays = [random_ray(rng, 6) for _ in range(15)]
         for i, member in enumerate(ctx.members):
             standalone = build_hidden_observable(member.operator, UNIFORM)
@@ -186,7 +211,7 @@ class TestContextCombine:
     def test_sum_of_opposites_is_zero(self):
         rng = np.random.default_rng(6)
         A = random_hermitian(rng, 3)
-        ctx = joint_diagonalize([A, validate_hermitian(-A.entries)], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([A, validate_hermitian(-A.entries)], UNIFORM)
         fn, operator = context_combine(ctx, [1.0, 1.0], "sum")
         np.testing.assert_allclose(fn.values, 0.0, atol=1e-10)
         np.testing.assert_allclose(operator.entries, 0.0, atol=1e-10)
@@ -194,7 +219,7 @@ class TestContextCombine:
     def test_product_squares_member(self):
         rng = np.random.default_rng(7)
         A = random_hermitian(rng, 3)
-        ctx = joint_diagonalize([A, A], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([A, A], UNIFORM)
         fn, operator = context_combine(ctx, [1.0, 1.0], "product")
         np.testing.assert_allclose(fn.values, ctx.members[0].values ** 2, atol=1e-12)
         scale = max(1.0, np.linalg.norm(A.entries) ** 2)
@@ -211,7 +236,7 @@ class TestHomomorphismCheck:
     def test_random_family_exactly_closed(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
-        ctx = joint_diagonalize(random_commuting_family(rng, dim, 3), UNIFORM, rng=rng)
+        ctx = joint_diagonalize(random_commuting_family(rng, dim, 3), UNIFORM)
         report = homomorphism_check(ctx, trials=8, rng=rng)
         assert report.passed
         assert report.max_additive_deviation == 0.0
@@ -220,7 +245,7 @@ class TestHomomorphismCheck:
 
     def test_single_member_degenerate_pass(self):
         rng = np.random.default_rng(19)
-        ctx = joint_diagonalize([random_hermitian(rng, 3)], UNIFORM, rng=rng)
+        ctx = joint_diagonalize([random_hermitian(rng, 3)], UNIFORM)
         assert homomorphism_check(ctx, trials=4, rng=rng).passed
 
     def test_diagonal_family_operator_sums(self):
