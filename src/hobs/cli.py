@@ -41,15 +41,7 @@ import orjson
 
 from . import expr, spectral
 from .contexts import SHARED_U_CAVEAT, Context, homomorphism_check, joint_diagonalize, nogo_witness
-from .errors import (
-    DegeneracyResolutionFailure,
-    EigensolverFailure,
-    EvaluationError,
-    HobsError,
-    NonFiniteInput,
-    NonQuadraticFirstMoment,
-    NotCommuting,
-)
+from .errors import EvaluationError, HobsError, NonFiniteInput, NotCommuting
 from .kernel import GammaModel, build_hidden_observable, spectral_support_check
 from .mixed import (
     Ensemble,
@@ -214,7 +206,7 @@ def _numeric_guard(fn):
         raise _InputError(f"bad expression: {exc}") from exc
     except NonFiniteInput as exc:
         raise _InputError(str(exc)) from exc
-    except (EigensolverFailure, DegeneracyResolutionFailure, NonQuadraticFirstMoment, np.linalg.LinAlgError) as exc:
+    except (HobsError, np.linalg.LinAlgError) as exc:  # any other failure inside a run, once its inputs were accepted
         click.echo(f"internal numeric failure: {exc}", err=True)
         sys.exit(3)
 

@@ -13,9 +13,11 @@ weights, so the defining mean-value identities hold to rounding error,
 not to sampling error.
 
 The alternative parameter model ("arg") realizes u as the normalized
-argument of a rotation-invariant complex Gaussian point on the line;
-its pushforward to (0, 1) is uniform, which is checkable with the
-Kolmogorov-Smirnov helper below.
+argument of a rotation-invariant complex Gaussian point on the line.
+Drawn by Box-Muller from a radius word and an angle word, that point's
+argument over 2pi is the angle word itself, so both models map a raw
+word to u the same way; the pushforward to (0, 1) is uniform, which is
+checkable with the Kolmogorov-Smirnov helper below.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .spectral import (
 )
 
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive double; open-interval remap
-_TINY_NORMAL = 2.2250738585072014e-308
 
 PROJECTOR_TOL = 1e-10
 WEIGHT_TOL = 1e-12
@@ -70,7 +71,9 @@ class GammaModel:
     kind "uniform": u is drawn uniformly, the canonical model.
     kind "arg": a point z != 0 is drawn on the line from a
     rotation-invariant atomless law (standard complex Gaussian) and
-    u = arg(z)/2pi wrapped into (0,1).  Both push forward to the
+    u = arg(z)/2pi wrapped into (0,1).  With z = r e^{2 pi i t} drawn by
+    Box-Muller from a radius word and an angle word t, u is t, so the
+    radius word is drawn but never read.  Both push forward to the
     uniform law, which is what the quantile construction needs.
     """
 
@@ -100,28 +103,20 @@ def gamma_from_complex(z) -> np.ndarray:
     return np.where(t == 0.0, _TINY, t)[()]
 
 
-def u_from_words(gamma: GammaModel, w1: np.ndarray, w2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map raw uniform words in [0, 1) to hidden parameters in (0, 1).
+def u_from_words(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map raw uniform words in [0, 1) to hidden parameters in (0, 1), written into `out` when one is given.
 
-    This is the single place the two parameter models touch raw
+    This is the single place either parameter model touches raw
     randomness, so counter-based streams and ordinary generators
-    produce identical values from identical words.  The uniform model
-    writes u into `out` when one is given.
+    produce identical values from identical words.  The word is u's own
+    under "uniform" and the angle word under "arg".
     """
-    if gamma.kind == "uniform":
-        return np.maximum(w1, _TINY, out=out)  # 0 is the only word below _TINY
-    # Box-Muller point of the standard complex Gaussian; the radius is
-    # guarded away from 0 so the sampled line point is never the origin.
-    r = np.sqrt(-2.0 * np.log1p(-w1))
-    r = np.where(r == 0.0, _TINY_NORMAL, r)
-    theta = 2.0 * math.pi * w2
-    return gamma_from_complex(r * np.cos(theta) + 1j * (r * np.sin(theta)))
+    return np.maximum(w, _TINY, out=out)  # 0 is the only word below _TINY
 
 
 def draw_u(gamma: GammaModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n hidden parameters from an ordinary numpy generator."""
-    words = rng.random((n, 2))
-    return u_from_words(gamma, words[:, 0], words[:, 1])
+    """n hidden parameters from an ordinary numpy generator: two words a draw, u from word 0 or the angle word 1."""
+    return u_from_words(rng.random((n, 2))[:, 1 if gamma.kind == "arg" else 0])
 
 
 def _random_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -461,7 +456,10 @@ def orthodoxy_second_moment_gap(
 
     A float for a StateVector, n gaps for an (n, d) array of nonzero rows.
     """
-    psi, dim = np.atleast_2d(rays.components if isinstance(rays, StateVector) else rays), h.dim
+    scalar = isinstance(rays, StateVector)
+    if scalar:  # a power of two, as in line_weights: no square overflows or underflows to 0
+        rays = _binary_scale(rays.components) * rays.components
+    psi, dim = np.atleast_2d(rays), h.dim
     _check_dims(dim, psi.shape[-1])
     psi = psi / np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=-1, keepdims=True))  # np.linalg.norm's sum
     laws, offsets = (h if isinstance(h, SharedParameterSum) else SharedParameterSum((h,)))._gap_tables
@@ -487,7 +485,7 @@ def orthodoxy_second_moment_gap(
         cross = (ordered[:, 1:] - ordered[:, :-1]) * f[np.arange(g_count.shape[1]) - g_count] * g[g_count]
         second = second + 2.0 * cross.sum(axis=-1)
     gaps = np.abs(second - c_squared)
-    return float(gaps[0]) if isinstance(rays, StateVector) else gaps
+    return float(gaps[0]) if scalar else gaps
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ the 64-bit words w*i..w*i+w-1 of a PCG64DXSM stream seeded by the seed,
 w = 2 under the uniform model and 3 under arg, reached by advancing the
 stream, so any block of samples is drawn on its own.  Each worker seeds
 one generator per call, rewinds and advances it for each block, and draws
-every block into one set of arrays (a uniform-model block allocates none);
-it drops both when the call returns.  Every sampled value of b(f) is b at
+every block into one set of arrays (a block allocates none); it drops
+both when the call returns.  Every sampled value of b(f) is b at
 one of the m pieces of f, so a Monte Carlo estimate reduces its samples
 to exact integer counts per piece, and its mean and spread follow from m
 counts.  Serial and worker-parallel runs therefore produce bit-identical
@@ -47,7 +47,7 @@ from .spectral import DensityMatrix, StateVector, _binary_scale, _check_dims, fu
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-# words per sample: word 0 picks the component, the rest feed u_from_words (u reads word 1, arg words 1 and 2)
+# words per sample: word 0 picks the component and the last is u's (arg's radius word 1 is drawn, not read)
 SAMPLE_WORDS = {"uniform": 2, "arg": 3}
 
 
@@ -201,8 +201,7 @@ def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: i
     words = stream.raw_words(start, count, SAMPLE_WORDS[mu.gamma.kind], buffer, rng)
     np.copyto(first, words[:, 0])  # the search passes read a contiguous column
     _row_search_into(components, first, None, k, scratch, right=True)
-    # the last word is word 2 under arg; the uniform map reads only word 1
-    return k, u_from_words(mu.gamma, words[:, 1], words[:, -1], out=u)
+    return k, u_from_words(words[:, -1], out=u)  # word 1 under uniform, the angle word 2 under arg
 
 
 def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays, rng=None):

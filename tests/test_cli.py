@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
-from hobs import EigensolverFailure
+from hobs import EigensolverFailure, EvaluationError, HermiticityViolation, NonFiniteInput, NotAProjector, ZeroInput
 from hobs.cli import _digest, _emit_report, _load_complex, cli
 
 
@@ -435,6 +435,20 @@ class TestContext:
         result = runner.invoke(cli, ["context", t, t])
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["n_labels"] == 2
+
+    def test_near_commuting_pair_is_numeric_failure(self, runner, tmp_path):
+        # B = diag(3, 4) + 5e-10 X passes the commutation test with A = diag(1, 2), but the product AB is not
+        # Hermitian within 1e-12 of its norm: one line and exit 3, not a traceback and exit 1
+        a = write_matrix(tmp_path / "a.json", np.diag([1.0, 2.0]))
+        b = write_matrix(tmp_path / "b.json", np.diag([3.0, 4.0]) + 5e-10 * PAULI_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["context", a, b])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "internal numeric failure: matrix is not Hermitian within tolerance (skew Frobenius norm 1.784e-10)"
+        ]
 
     def test_seed_moves_only_the_homomorphism_check(self, runner, tmp_path):
         rng = np.random.default_rng(9)
@@ -1085,6 +1099,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             _numeric_guard(boom)
         assert err.value.code == 3
+
+    @pytest.mark.parametrize("error, code", [
+        (EvaluationError("log of 0"), 2),
+        (NonFiniteInput("NaN entry"), 2),
+        (HermiticityViolation("skew part"), 3),
+        (ZeroInput("zero ray"), 3),
+        (NotAProjector("not idempotent"), 3),
+    ])
+    def test_input_errors_first_then_any_hobs_error_is_exit_three(self, error, code):
+        from hobs.cli import _numeric_guard
+
+        def boom():
+            raise error
+
+        with pytest.raises((SystemExit, click.ClickException)) as err:
+            _numeric_guard(boom)
+        exit_code = err.value.code if isinstance(err.value, SystemExit) else err.value.exit_code
+        assert exit_code == code
 
 
 class TestConfigValidation:

@@ -138,16 +138,30 @@ class TestGammaModel:
         scalar = np.array([gamma_from_complex(point) for point in z])
         assert np.array_equal(scalar, gamma_from_complex(z))
 
-    @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
-    def test_words_map_into_open_interval(self, gamma):
-        w = np.linspace(0.0, 1.0, 1001, endpoint=False)
-        u = u_from_words(gamma, w, np.flip(w))
+    def test_words_map_into_open_interval(self):
+        w = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False), [np.nextafter(1.0, 0.0)]])
+        u = u_from_words(w)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
-    def test_uniform_kind_passes_words_through(self):
-        w1 = np.array([0.0, 0.25, 0.875])
-        u = u_from_words(UNIFORM, w1, np.zeros(3))
-        assert u[1] == 0.25 and u[2] == 0.875 and 0 < u[0] < 1e-300
+    def test_zero_word_maps_to_smallest_positive_double(self):
+        assert u_from_words(np.zeros(3)).tolist() == [5e-324] * 3
+
+    def test_other_words_pass_through(self):
+        w = np.array([5e-324, 1e-300, 0.25, 0.875, np.nextafter(1.0, 0.0)])
+        out = np.empty(5)
+        assert u_from_words(w, out=out) is out and np.array_equal(out, w)
+
+    def test_arg_u_is_the_argument_of_the_box_muller_point(self):
+        # the model's definition: u is arg(z)/2pi of the standard complex Gaussian point z = r e^{2 pi i t} drawn
+        # from a radius word and an angle word t; the angle word itself is within 3 ulps of it
+        words = np.random.default_rng(2024).random((10**6, 2))
+        r = np.sqrt(-2.0 * np.log1p(-words[:, 0]))
+        r = np.where(r == 0.0, 1.0, r)  # the argument does not depend on a positive radius
+        theta = 2.0 * math.pi * words[:, 1]
+        defined = gamma_from_complex(r * np.cos(theta) + 1j * (r * np.sin(theta)))
+        u = draw_u(ARG, np.random.default_rng(2024), 10**6)
+        assert np.array_equal(u, u_from_words(words[:, 1]))
+        assert np.max(np.abs(u.view(np.int64) - defined.view(np.int64))) <= 3
 
     @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
     def test_pushforward_is_uniform(self, gamma):
@@ -490,6 +504,23 @@ class TestOrthodoxy:
         psi = state(math.cos(math.pi / 8), math.sin(math.pi / 8))
         assert law_mean(h.parts, psi, transform=lambda v: v * v) == pytest.approx(4.0, abs=1e-12)
         assert orthodoxy_second_moment_gap(h, total, psi) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_gap_on_a_huge_or_tiny_ray_is_the_unit_ray_gap(self, scale):
+        # the ray's squares overflowed to inf (gap 2.0) or underflowed to 0 (gap nan) before it was normalized
+        h = SharedParameterSum(
+            parts=(
+                build_hidden_observable(op(PAULI_Z), UNIFORM),
+                build_hidden_observable(op(PAULI_X), UNIFORM),
+            )
+        )
+        total = validate_hermitian(PAULI_Z + PAULI_X)
+        v = np.array([1.0, 0.3 + 0.2j])
+        unit = orthodoxy_second_moment_gap(h, total, StateVector(components=v / np.linalg.norm(v)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            gap = orthodoxy_second_moment_gap(h, total, StateVector(components=scale * v))
+        assert gap == unit == orthodoxy_second_moment_gap(h, total, StateVector(components=v))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pauli_sum_gap_matches_step_integral_formula(self, seed):

@@ -264,6 +264,17 @@ class TestSampleHidden:
         b = sample_hidden(mu, SampleStream(seed=9), 50)
         assert all(pa.u == pb.u for pa, pb in zip(a, b))
 
+    def test_arg_u_is_the_angle_word(self):
+        # under arg, sample i reads words 3i..3i+2: the component word, the radius word (drawn, not read) and the
+        # angle word, which is u bit for bit
+        gamma = GammaModel(kind="arg")
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[0.5, 0.5], rays=np.eye(2)), gamma=gamma)
+        stream = SampleStream(seed=17)
+        words = fresh_words(stream, 300, 5000, SAMPLE_WORDS["arg"])
+        _, u = _draw_block(mu, _components(mu), stream, 300, 5000)
+        assert SAMPLE_WORDS["arg"] == 3 and np.all(words[:, 2] > 0.0)
+        assert np.array_equal(u, words[:, 2])
+
     def test_component_counts_within_binomial_bound(self):
         n = 100000
         mu = HiddenMixedState(
@@ -390,16 +401,17 @@ class TestMcEstimate:
 # is what the blocks after the first fault in
 FAULT_PROBE = """
 import resource
+import sys
 import numpy as np
 from hobs import (DensityMatrix, GammaModel, HiddenMixedState, SampleStream, build_hidden_observable,
                   ensemble_from_density, mc_estimate, parse, validate_hermitian)
+gamma = GammaModel(kind=sys.argv[1])
 rng = np.random.default_rng(4)
 m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-f = build_hidden_observable(validate_hermitian((m + m.conj().T) / 2), GammaModel.uniform())
+f = build_hidden_observable(validate_hermitian((m + m.conj().T) / 2), gamma)
 m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 rho = m @ m.conj().T
-mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)),
-                      gamma=GammaModel.uniform())
+mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)), gamma=gamma)
 assert mu.ensemble.size == 4
 b, block = parse("x^2"), SampleStream(seed=0).block_size
 
@@ -418,12 +430,14 @@ print(*map(sum, zip(*calls)))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc heap page faults")
-def test_steady_state_estimate_does_not_fault_pages_in():
+@pytest.mark.parametrize("kind", ["uniform", "arg"])
+def test_steady_state_estimate_does_not_fault_pages_in(kind):
     # block-sized arrays freed and allocated per block let the heap trim and fault back in on every block:
     # 5,889-14,370 faults per 10^6-sample call were measured that way; with arrays reused for a whole call, a
-    # call faults in about as many pages as a one-block call
+    # call faults in about as many pages as a one-block call, under either model (a block allocates no array)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, kind], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     full, one_block = map(int, proc.stdout.split())
     assert full - one_block <= 10 * 256, f"{full / 10:.0f} minor faults per call, {one_block / 10:.0f} at one block"
