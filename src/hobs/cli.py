@@ -42,7 +42,7 @@ import orjson
 from . import expr, spectral
 from .contexts import SHARED_U_CAVEAT, Context, homomorphism_check, joint_diagonalize, nogo_witness
 from .errors import EvaluationError, HobsError, NonFiniteInput, NotCommuting
-from .kernel import GammaModel, build_hidden_observable, spectral_support_check
+from .kernel import build_hidden_observable, spectral_support_check
 from .mixed import (
     Ensemble,
     HiddenMixedState,
@@ -240,14 +240,6 @@ _tol_option = click.option(
     show_default=True,
     help="Pass/fail tolerance, finite and positive.",
 )
-_gamma_option = click.option(
-    "--gamma",
-    type=click.Choice(["uniform", "arg"]),
-    callback=lambda ctx, param, kind: GammaModel(kind=kind),
-    default="uniform",
-    show_default=True,
-    help="Hidden parameter model.",
-)
 _out_option = click.option("--out", "output_path", type=click.Path(), default=None, help="Write output here instead of stdout.")
 
 
@@ -270,9 +262,8 @@ def cli():
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads for sampling.")
 @_seed_option
 @_tol_option
-@_gamma_option
 @_out_option
-def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, gamma, output_path):
+def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, output_path):
     """Check Trace[b(T) D] against the classical mean, exactly and by sampling."""
     t_pairs, T = _load_matrix(t_file)
     d_pairs, D = _load_matrix(d_file, density=True)
@@ -280,8 +271,8 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
     b = _parse_expression(b_expr)
 
     def run():
-        f = build_hidden_observable(T, gamma)
-        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=gamma)
+        f = build_hidden_observable(T)
+        mu = HiddenMixedState(ensemble=ensemble_from_density(D))
         trace_value = trace_expectation(spectral.apply_borel(f.decomposition, b), D)
         exact = exact_classical_mean(f, b, mu)
         estimate = mc_estimate(f, b, mu, SampleStream(seed=seed), samples, workers=workers)
@@ -313,7 +304,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
         }
         return results, passed
 
-    config = {"b": b_expr, "gamma": gamma.kind, "samples": samples, "seed": seed, "tol": tolerance}
+    config = {"b": b_expr, "samples": samples, "seed": seed, "tol": tolerance}
     _report("verify-trace", [t_pairs, d_pairs], config, run, [FINITE_DIM_CAVEAT, EIGEN_ENSEMBLE_CAVEAT], output_path)
 
 
@@ -327,7 +318,7 @@ def cmd_support(t_file, samples, rays, output_path):
     t_pairs, T = _load_matrix(t_file)
 
     def run():
-        f = build_hidden_observable(T, GammaModel.uniform())
+        f = build_hidden_observable(T)
         per_ray = max(1, samples // rays)
         report = spectral_support_check(f, n_rays=rays, samples_per_ray=per_ray, rng=np.random.default_rng(0))
         results = {
@@ -450,15 +441,14 @@ def _sample_inputs(path: str, observable_path: str | None):
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True, help="Rows to draw.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads.")
 @_seed_option
-@_gamma_option
 @_out_option
-def cmd_sample(input_file, observable_path, samples, workers, seed, gamma, output_path):
+def cmd_sample(input_file, observable_path, samples, workers, seed, output_path):
     """Dump hidden samples as CSV: component_index,u,value."""
     ensemble, observable = _sample_inputs(input_file, observable_path)
 
     # every check that can fail runs before the output is opened, so a failed run writes no file
-    f = _numeric_guard(lambda: build_hidden_observable(observable, gamma))
-    mu = HiddenMixedState(ensemble=ensemble, gamma=gamma)
+    f = _numeric_guard(lambda: build_hidden_observable(observable))
+    mu = HiddenMixedState(ensemble=ensemble)
     _write_output(output_path, lambda out: dump_samples_csv(f, mu, SampleStream(seed=seed), samples, out, workers=workers))
 
 

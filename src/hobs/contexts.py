@@ -225,7 +225,7 @@ def homomorphism_check(
     for _ in range(trials):
         coeffs = rng.uniform(-2.0, 2.0, size=len(ctx.members))
         psi = random_ray(rng, ctx.dim)
-        u = float(draw_u(ctx.f0.gamma, rng, 1)[0])
+        u = float(draw_u(rng, 1)[0])
         idx = int(_piece_index(_cumulative(line_weights(ctx.decomposition, psi)), u))
         column = tables[:, idx]
 

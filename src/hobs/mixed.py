@@ -7,15 +7,14 @@ the mixture equal operator traces against that matrix, exactly for the
 finite sums computed here and statistically for the sampling paths.
 
 Sampling follows a seekable-stream contract: sample i consumes exactly
-the 64-bit words w*i..w*i+w-1 of a PCG64DXSM stream seeded by the seed,
-w = 2 under the uniform model and 3 under arg, reached by advancing the
-stream, so any block of samples is drawn on its own.  Each worker seeds
-one generator per call, rewinds and advances it for each block, and draws
-every block into one set of arrays (a block allocates none); it drops
-both when the call returns.  Every sampled value of b(f) is b at
-one of the m pieces of f, so a Monte Carlo estimate reduces its samples
-to exact integer counts per piece, and its mean and spread follow from m
-counts.  Serial and worker-parallel runs therefore produce bit-identical
+the 64-bit words 2i and 2i+1 of a PCG64DXSM stream seeded by the seed,
+reached by advancing the stream, so any block of samples is drawn on its
+own.  Each worker seeds one generator per call, rewinds and advances it
+for each block, and draws every block into one set of arrays (a block
+allocates none); it drops both when the call returns.  Every sampled
+value of b(f) is b at one of the m pieces of f, so a Monte Carlo
+estimate reduces its samples to exact integer counts per piece, and its
+mean and spread follow from m counts.  Serial and worker-parallel runs therefore produce bit-identical
 results for any worker count and block size.
 """
 
@@ -47,8 +46,7 @@ from .spectral import DensityMatrix, StateVector, _binary_scale, _check_dims, fu
 
 WEIGHT_DROP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-# words per sample: word 0 picks the component and the last is u's (arg's radius word 1 is drawn, not read)
-SAMPLE_WORDS = {"uniform": 2, "arg": 3}
+SAMPLE_WORDS = 2  # words per sample: word 0 picks the component and word 1 is u's
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class Ensemble:
 @dataclass(frozen=True)
 class HiddenMixedState:
     ensemble: Ensemble
-    gamma: GammaModel
+    gamma: GammaModel = GammaModel.uniform()
 
     @property
     def dim(self) -> int:
@@ -139,14 +137,14 @@ def hidden_state_measure(L: HiddenObservable, mu: HiddenMixedState) -> float:
 class SampleStream:
     """Reproducible sample randomness keyed by a 64-bit seed.
 
-    Sample i reads words w*i..w*i+w-1 of one PCG64DXSM stream seeded by
-    `seed`, w words per sample; `advance` jumps to any sample in
+    Sample i reads words 2i and 2i+1 of one PCG64DXSM stream seeded by
+    `seed` (SAMPLE_WORDS a sample); `advance` jumps to any sample in
     O(log n) steps, so any contiguous range of samples can be generated
     independently of how the range is partitioned across workers.  A
     worker seeds one `generator()` per call, and each block restores it
     to the saved start state and advances it.  The default block size
     keeps the arrays a worker reuses for every block of a call under
-    1.2 MB.
+    1.1 MB.
     """
 
     seed: int
@@ -160,15 +158,15 @@ class SampleStream:
     def _start(self) -> dict:
         return PCG64DXSM(self.seed).state
 
-    def raw_words(self, start: int, count: int, width: int, out: np.ndarray, rng=None) -> np.ndarray:
-        """Uniform [0,1) words for samples [start, start+count), shape (count, width): a view of the flat `out`.
+    def raw_words(self, start: int, count: int, out: np.ndarray, rng=None) -> np.ndarray:
+        """Uniform [0,1) words for samples [start, start+count), shape (count, 2): a view of the flat `out`.
 
         `rng`, a `generator()` in any state (a new one if None), is rewound to the stream's start and advanced.
         """
         rng = rng or self.generator()
         rng.bit_generator.state = self._start
-        rng.bit_generator.advance(width * start)
-        return rng.random(out=out[: count * width].reshape(count, width))
+        rng.bit_generator.advance(SAMPLE_WORDS * start)
+        return rng.random(out=out[: count * SAMPLE_WORDS].reshape(count, SAMPLE_WORDS))
 
     def blocks(self, n: int):
         """The fixed partition plan: [start, stop) slices of block_size."""
@@ -188,20 +186,19 @@ def _sampling_tables(f: HiddenObservable, mu: HiddenMixedState):
 
 
 def _block_arrays(size: int) -> list[np.ndarray]:
-    """Arrays for blocks of up to `size` samples: words (3 a sample, the widest layout), word 0, u, k, pieces, and
-    the search scratch."""
-    return [np.empty(3 * size), np.empty(size), np.empty(size), *(np.empty(size, dtype=np.intp) for _ in range(3)),
-            np.empty(size), np.empty(size, dtype=bool)]
+    """Arrays for blocks of up to `size` samples: words, word 0, u, k, pieces, and the search scratch."""
+    return [np.empty(SAMPLE_WORDS * size), np.empty(size), np.empty(size),
+            *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size), np.empty(size, dtype=bool)]
 
 
 def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: int, count: int, arrays=None, rng=None):
     """Component indices and hidden parameters for one sample range, drawn by `rng` (see raw_words) into `arrays`
     (of count samples) if given."""
     buffer, first, u, k, _, *scratch = arrays or _block_arrays(count)
-    words = stream.raw_words(start, count, SAMPLE_WORDS[mu.gamma.kind], buffer, rng)
+    words = stream.raw_words(start, count, buffer, rng)
     np.copyto(first, words[:, 0])  # the search passes read a contiguous column
     _row_search_into(components, first, None, k, scratch, right=True)
-    return k, u_from_words(words[:, -1], out=u)  # word 1 under uniform, the angle word 2 under arg
+    return k, u_from_words(words[:, 1], out=u)
 
 
 def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays, rng=None):

@@ -85,11 +85,7 @@ class DensityMatrix:
     eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.entries)
-        skew = _relative_error(m.conj().T, m)
-        if skew > HERMITICITY_RTOL:
-            raise HermiticityViolation(f"density matrix not Hermitian (relative skew norm {skew:.3e})")
-        m = m / 2.0 + m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
+        m = validate_hermitian(self.entries).entries  # checked and symmetrized by the one hermiticity rule
         trace = np.trace(m).real
         if abs(trace - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"density matrix trace {float(trace)!r} != 1")

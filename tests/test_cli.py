@@ -164,7 +164,21 @@ class TestVerifyTrace:
             warnings.simplefilter("error")  # as under python -W error
             result = runner.invoke(cli, ["verify-trace", files["pauli_x"], d, "x"])
         assert result.exit_code == 2, result.output
-        assert result.output.splitlines() == [f"Error: {d}: density matrix not Hermitian (relative skew norm 2.000e+00)"]
+        assert result.output.splitlines() == [
+            f"Error: {d}: matrix is not Hermitian within tolerance (skew Frobenius norm 1.414e+200)"]
+
+    def test_density_hermiticity_is_the_operator_rule(self, runner, files, tmp_path):
+        # a skew part of Frobenius norm 7.07e-13 is within validate_hermitian's 1e-12 relative tolerance, so D is
+        # a density matrix for verify-trace as it is for support and sample; three times that skew is rejected by both
+        d = write_matrix(tmp_path / "D.json", [[0.5, 0.1 + 0.5e-12j], [0.1 + 0.5e-12j, 0.5]])
+        result = runner.invoke(cli, ["verify-trace", files["pauli_x"], d, "x", "--samples", "1000"])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(cli, ["sample", d, "--samples", "3"]).exit_code == 0
+        far = write_matrix(tmp_path / "far.json", [[0.5, 0.1 + 1.5e-12j], [0.1 + 1.5e-12j, 0.5]])
+        for args in (["verify-trace", files["pauli_x"], far, "x", "--samples", "1000"], ["support", far]):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 2, result.output
+            assert "not Hermitian within tolerance" in result.output
 
     def test_huge_hermitian_density_rejected_without_overflow(self, runner, files, tmp_path):
         # (D + D^H)/2 would overflow to inf here; the negative eigenvalue -1e308 is the fault to report
@@ -202,8 +216,8 @@ class TestVerifyTrace:
         # the digest hashes the parsed float64 [re, im] arrays and the config; this value pins its bytes
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "100"])
         digest = report_of(result)["inputs_digest"]
-        assert digest == "0cce5dbdedffea84c315023fb834e9fcb3cfc24f119ab15e447502b0409ea3d7"
-        config = digest_config("verify-trace", b="x", gamma="uniform", samples=100, seed=0, tol=1e-8)
+        assert digest == "f6419de9e75ad4c79ccfb2039173d33593ae5cf9f4d1d22f1d8b6f2826efb0a7"
+        config = digest_config("verify-trace", b="x", samples=100, seed=0, tol=1e-8)
         assert digest == documented_digest([files["identity"], files["mixed"]], config)
 
     def test_large_offset_passes_with_sound_std_error(self, runner, tmp_path):
@@ -559,12 +573,12 @@ def digest_of(runner, args):
 OPTION_VALUES = {
     "verify-trace": (
         ["{pauli_x}", "{diag37}", "x", "--samples", "1000"],
-        {"--samples": "1001", "--seed": "1", "--tol": "1e-7", "--gamma": "arg"},
+        {"--samples": "1001", "--seed": "1", "--tol": "1e-7"},
     ),
     "support": (["{signs}", "--samples", "4", "--rays", "2"], {"--samples": "6", "--rays": "3"}),
     "context": (["{hermitian}", "{hermitian}", "--trials", "2"], {"--trials": "3", "--seed": "1", "--tol": "1e-30"}),
     "nogo": (["{pauli_z}", "{pauli_x}", "--search", "16"], {"--search": "4", "--seed": "1", "--tol": "1e-7"}),
-    "sample": (["{diag37}", "--samples", "20"], {"--observable": "{pauli_x}", "--samples": "21", "--seed": "1", "--gamma": "arg"}),
+    "sample": (["{diag37}", "--samples", "20"], {"--observable": "{pauli_x}", "--samples": "21", "--seed": "1"}),
 }
 OPTION_PAIRS = [(command, option) for command, (_, values) in OPTION_VALUES.items() for option in values]
 
@@ -608,6 +622,8 @@ class TestEveryOptionActs:
             ("support", "--gamma", "arg"),
             ("context", "--gamma", "arg"),
             ("nogo", "--gamma", "arg"),
+            ("verify-trace", "--gamma", "arg"),
+            ("sample", "--gamma", "arg"),
             ("sample", "--tol", "1e-7"),
         ],
     )
@@ -694,7 +710,7 @@ class TestInputsDigest:
     def test_digest_same_across_workers(self, runner, files):
         args = ["verify-trace", files["pauli_x"], files["diag37"], "x^2", "--samples", "100000", "--seed", "3"]
         digests = {digest_of(runner, args + ["--workers", workers]) for workers in ("1", "2")}
-        config = digest_config("verify-trace", b="x^2", gamma="uniform", samples=100000, seed=3, tol=1e-8)
+        config = digest_config("verify-trace", b="x^2", samples=100000, seed=3, tol=1e-8)
         assert digests == {documented_digest([files["pauli_x"], files["diag37"]], config)}
 
 
@@ -1156,9 +1172,3 @@ class TestConfigValidation:
     def test_samples_below_two_rejected_for_mc(self, runner, files):
         result = runner.invoke(cli, ["verify-trace", files["identity"], files["mixed"], "x", "--samples", "1"])
         assert result.exit_code == 2
-
-    @pytest.mark.parametrize("args", [["verify-trace", "{identity}", "{mixed}", "x"], ["sample", "{mixed}"]])
-    def test_gamma_choice_enforced(self, runner, files, args):
-        result = runner.invoke(cli, [arg.format(**files) for arg in args] + ["--gamma", "other"])
-        assert result.exit_code == 2, result.output
-        assert "Invalid value for '--gamma'" in result.output

@@ -62,7 +62,6 @@ from hobs.kernel import (
 )
 
 UNIFORM = GammaModel.uniform()
-ARG = GammaModel(kind="arg")
 
 
 def comonotone_law(parts, psi, combine=np.add):
@@ -108,10 +107,6 @@ class SharedParameterProduct:
 
 
 class TestGammaModel:
-    def test_kinds_validated(self):
-        with pytest.raises(ValueError):
-            GammaModel(kind="other")
-
     def test_arg_of_minus_one_is_half(self):
         assert gamma_from_complex(complex(math.cos(math.pi), math.sin(math.pi))) == pytest.approx(0.5, abs=1e-15)
 
@@ -151,21 +146,8 @@ class TestGammaModel:
         out = np.empty(5)
         assert u_from_words(w, out=out) is out and np.array_equal(out, w)
 
-    def test_arg_u_is_the_argument_of_the_box_muller_point(self):
-        # the model's definition: u is arg(z)/2pi of the standard complex Gaussian point z = r e^{2 pi i t} drawn
-        # from a radius word and an angle word t; the angle word itself is within 3 ulps of it
-        words = np.random.default_rng(2024).random((10**6, 2))
-        r = np.sqrt(-2.0 * np.log1p(-words[:, 0]))
-        r = np.where(r == 0.0, 1.0, r)  # the argument does not depend on a positive radius
-        theta = 2.0 * math.pi * words[:, 1]
-        defined = gamma_from_complex(r * np.cos(theta) + 1j * (r * np.sin(theta)))
-        u = draw_u(ARG, np.random.default_rng(2024), 10**6)
-        assert np.array_equal(u, u_from_words(words[:, 1]))
-        assert np.max(np.abs(u.view(np.int64) - defined.view(np.int64))) <= 3
-
-    @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
-    def test_pushforward_is_uniform(self, gamma):
-        report = pushforward_ks(gamma, 100000, np.random.default_rng(17))
+    def test_pushforward_is_uniform(self):
+        report = pushforward_ks(draw_u(np.random.default_rng(17), 100000))
         assert report.passed, f"KS statistic {report.statistic} >= {report.critical_value}"
 
 
@@ -891,16 +873,6 @@ class TestStatisticalEquivalence:
         rays = [random_ray(rng, 4) for _ in range(10)]
         assert statistical_equivalence_check(f, f, rays).passed
 
-    def test_same_operator_under_both_parameter_models(self):
-        rng = np.random.default_rng(12)
-        T = random_hermitian(rng, 5)
-        f1 = build_hidden_observable(T, UNIFORM)
-        f2 = build_hidden_observable(T, ARG)
-        rays = [random_ray(rng, 5) for _ in range(20)]
-        report = statistical_equivalence_check(f1, f2, rays, weight_tol=1e-12)
-        assert report.passed
-        assert report.max_weight_error <= 1e-12
-
     def test_shifted_operator_not_equivalent(self):
         rng = np.random.default_rng(15)
         T = random_hermitian(rng, 3)
@@ -931,9 +903,8 @@ class TestStatisticalEquivalence:
 
 
 class TestDrawU:
-    @pytest.mark.parametrize("gamma", [UNIFORM, ARG])
-    def test_open_interval_and_deterministic(self, gamma):
-        u1 = draw_u(gamma, np.random.default_rng(99), 1000)
-        u2 = draw_u(gamma, np.random.default_rng(99), 1000)
+    def test_open_interval_and_deterministic(self):
+        u1 = draw_u(np.random.default_rng(99), 1000)
+        u2 = draw_u(np.random.default_rng(99), 1000)
         assert np.array_equal(u1, u2)
         assert np.all((u1 > 0.0) & (u1 < 1.0))

@@ -48,8 +48,8 @@ from hobs.mixed import SAMPLE_WORDS, _block_arrays, _block_values, _components, 
 UNIFORM = GammaModel.uniform()
 
 
-def mixed(D: DensityMatrix, gamma=UNIFORM) -> HiddenMixedState:
-    return HiddenMixedState(ensemble=ensemble_from_density(D), gamma=gamma)
+def mixed(D: DensityMatrix) -> HiddenMixedState:
+    return HiddenMixedState(ensemble=ensemble_from_density(D), gamma=UNIFORM)
 
 
 class TestEnsemble:
@@ -207,38 +207,35 @@ class TestExactClassicalMean:
             assert hidden_state_measure(L, mu) == pytest.approx(expected, abs=1e-10)
 
 
-def fresh_words(stream, start, count, width):
+def fresh_words(stream, start, count):
     """stream.raw_words into a buffer of its own."""
-    return stream.raw_words(start, count, width, np.empty(width * count))
+    return stream.raw_words(start, count, np.empty(SAMPLE_WORDS * count))
 
 
 class TestSampleStream:
     def test_words_are_partition_independent(self):
         stream = SampleStream(seed=1234)
-        for width in (2, 3):
-            whole = fresh_words(stream, 0, 1000, width)
-            split = np.vstack([fresh_words(stream, 0, 300, width), fresh_words(stream, 300, 700, width)])
-            assert np.array_equal(whole, split)
+        whole = fresh_words(stream, 0, 1000)
+        split = np.vstack([fresh_words(stream, 0, 300), fresh_words(stream, 300, 700)])
+        assert np.array_equal(whole, split)
 
     def test_different_seeds_differ(self):
-        for width in (2, 3):
-            assert not np.array_equal(fresh_words(SampleStream(seed=1), 0, 8, width),
-                                      fresh_words(SampleStream(seed=2), 0, 8, width))
+        assert not np.array_equal(fresh_words(SampleStream(seed=1), 0, 8), fresh_words(SampleStream(seed=2), 0, 8))
 
-    @pytest.mark.parametrize("width", [2, 3])
-    def test_block_into_reused_buffer_is_the_rows_of_one_long_draw(self, width):
-        # the layout contract: sample i is words width*i .. width*i + width - 1 of one stream, whatever
-        # the buffer held before and wherever the worker's generator was left
+    def test_block_into_reused_buffer_is_the_rows_of_one_long_draw(self):
+        # the layout contract: sample i is words 2i and 2i + 1 of one stream, whatever the buffer held before
+        # and wherever the worker's generator was left
         stream = SampleStream(seed=77, block_size=1000)
-        whole = fresh_words(stream, 0, 5000, width)
-        assert whole.shape == (5000, width)
-        buffer, rng = np.full(3 * stream.block_size, np.nan), stream.generator()
+        whole = fresh_words(stream, 0, 5000)
+        assert SAMPLE_WORDS == 2 and whole.shape == (5000, 2)
+        assert np.array_equal(whole.ravel(), np.random.Generator(np.random.PCG64DXSM(77)).random(10000))
+        buffer, rng = np.full(SAMPLE_WORDS * stream.block_size, np.nan), stream.generator()
         rng.integers(2**32, dtype=np.uint32)  # leaves half a word buffered
         # in order, backwards, a repeated start, the last partial block, and a block off the block grid
         for start, count in [(0, 1000), (1000, 1000), (4000, 1000), (2500, 1000), (1000, 1000), (1000, 1000),
                              (4990, 10), (0, 1000), (3001, 7)]:
             for generator in (None, rng):
-                block = stream.raw_words(start, count, width, buffer, generator)
+                block = stream.raw_words(start, count, buffer, generator)
                 assert np.shares_memory(block, buffer)
                 assert np.array_equal(block, whole[start : start + count])
             rng.random()  # a draw between blocks moves the generator on
@@ -264,16 +261,14 @@ class TestSampleHidden:
         b = sample_hidden(mu, SampleStream(seed=9), 50)
         assert all(pa.u == pb.u for pa, pb in zip(a, b))
 
-    def test_arg_u_is_the_angle_word(self):
-        # under arg, sample i reads words 3i..3i+2: the component word, the radius word (drawn, not read) and the
-        # angle word, which is u bit for bit
-        gamma = GammaModel(kind="arg")
-        mu = HiddenMixedState(ensemble=Ensemble(weights=[0.5, 0.5], rays=np.eye(2)), gamma=gamma)
+    def test_u_is_word_1(self):
+        # sample i reads words 2i and 2i + 1: the component word, then u's word, which is u bit for bit
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[0.5, 0.5], rays=np.eye(2)), gamma=UNIFORM)
         stream = SampleStream(seed=17)
-        words = fresh_words(stream, 300, 5000, SAMPLE_WORDS["arg"])
+        words = fresh_words(stream, 300, 5000)
         _, u = _draw_block(mu, _components(mu), stream, 300, 5000)
-        assert SAMPLE_WORDS["arg"] == 3 and np.all(words[:, 2] > 0.0)
-        assert np.array_equal(u, words[:, 2])
+        assert np.all(words[:, 1] > 0.0)
+        assert np.array_equal(u, words[:, 1])
 
     def test_component_counts_within_binomial_bound(self):
         n = 100000
@@ -338,15 +333,6 @@ class TestMcEstimate:
         slack = max(4.0 * est.std_error, 1e-9)
         assert abs(est.mean - exact) <= slack
 
-    def test_arg_model_sampling_agrees_too(self):
-        rng = np.random.default_rng(77)
-        gamma = GammaModel(kind="arg")
-        f = build_hidden_observable(random_hermitian(rng, 3), gamma)
-        mu = mixed(random_density(rng, 3), gamma=gamma)
-        exact = exact_classical_mean(f, parse("x"), mu)
-        est = mc_estimate(f, parse("x"), mu, SampleStream(seed=123), 200000)
-        assert abs(est.mean - exact) <= max(4.0 * est.std_error, 1e-9)
-
     def test_variance_survives_large_offset(self):
         # values 1e8..1e8+3 with equal weight: s2 - n*mean^2 cancels to 0 here
         n = 1_000_000
@@ -381,11 +367,10 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
 
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
-    def test_equal_at_any_block_size_and_worker_count(self, gamma):
+    def test_equal_at_any_block_size_and_worker_count(self):
         rng = np.random.default_rng(24)
-        f = build_hidden_observable(random_hermitian(rng, 4), gamma)
-        mu = mixed(random_density(rng, 4), gamma=gamma)
+        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        mu = mixed(random_density(rng, 4))
         n = 200_003
         estimates = {
             (block_size, workers): mc_estimate(
@@ -401,17 +386,15 @@ class TestMcEstimate:
 # is what the blocks after the first fault in
 FAULT_PROBE = """
 import resource
-import sys
 import numpy as np
-from hobs import (DensityMatrix, GammaModel, HiddenMixedState, SampleStream, build_hidden_observable,
-                  ensemble_from_density, mc_estimate, parse, validate_hermitian)
-gamma = GammaModel(kind=sys.argv[1])
+from hobs import (DensityMatrix, HiddenMixedState, SampleStream, build_hidden_observable, ensemble_from_density,
+                  mc_estimate, parse, validate_hermitian)
 rng = np.random.default_rng(4)
 m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-f = build_hidden_observable(validate_hermitian((m + m.conj().T) / 2), gamma)
+f = build_hidden_observable(validate_hermitian((m + m.conj().T) / 2))
 m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 rho = m @ m.conj().T
-mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)), gamma=gamma)
+mu = HiddenMixedState(ensemble=ensemble_from_density(DensityMatrix(entries=rho / np.trace(rho).real)))
 assert mu.ensemble.size == 4
 b, block = parse("x^2"), SampleStream(seed=0).block_size
 
@@ -430,13 +413,12 @@ print(*map(sum, zip(*calls)))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc heap page faults")
-@pytest.mark.parametrize("kind", ["uniform", "arg"])
-def test_steady_state_estimate_does_not_fault_pages_in(kind):
+def test_steady_state_estimate_does_not_fault_pages_in():
     # block-sized arrays freed and allocated per block let the heap trim and fault back in on every block:
     # 5,889-14,370 faults per 10^6-sample call were measured that way; with arrays reused for a whole call, a
-    # call faults in about as many pages as a one-block call, under either model (a block allocates no array)
+    # call faults in about as many pages as a one-block call (a block allocates no array)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, kind], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     full, one_block = map(int, proc.stdout.split())
@@ -453,13 +435,12 @@ def block_piece_counts(f, mu, stream, n):
 
 
 class TestCountReduction:
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_estimate_is_the_count_formula_for_any_partition(self, seed, gamma):
+    def test_estimate_is_the_count_formula_for_any_partition(self, seed):
         rng = np.random.default_rng([93, seed])
         dim = int(rng.integers(2, 7))
-        f = build_hidden_observable(random_hermitian(rng, dim), gamma)
-        mu = mixed(random_density(rng, dim), gamma=gamma)
+        f = build_hidden_observable(random_hermitian(rng, dim), UNIFORM)
+        mu = mixed(random_density(rng, dim))
         b = parse(random_expression_text(rng, depth=3))
         n = 150_001  # a multiple of neither block size
         c = block_piece_counts(f, mu, SampleStream(seed=seed), n)
@@ -479,12 +460,11 @@ class TestCountReduction:
 
 
 class TestStreamFit:
-    @pytest.mark.parametrize("gamma", [UNIFORM, GammaModel(kind="arg")], ids=["uniform", "arg"])
-    def test_piece_counts_and_u_column_fit_their_laws(self, gamma):
+    def test_piece_counts_and_u_column_fit_their_laws(self):
         from scipy import stats
         rng = np.random.default_rng(4)
-        f = build_hidden_observable(random_hermitian(rng, 4), gamma)
-        mu = mixed(random_density(rng, 4), gamma=gamma)
+        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        mu = mixed(random_density(rng, 4))
         n = 1_000_000
         buf = io.StringIO()
         dump_samples_csv(f, mu, SampleStream(seed=19), n, buf)
@@ -555,13 +535,13 @@ class TestBlockSearch:
         pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
 
         class PinnedStream(SampleStream):  # the first words of the block sit on the cumulative weights
-            def raw_words(self, start, count, width, out, rng=None):
-                words = super().raw_words(start, count, width, out, rng)
+            def raw_words(self, start, count, out, rng=None):
+                words = super().raw_words(start, count, out, rng)
                 words[: pinned.size, 0] = pinned
                 return words
 
         stream = PinnedStream(seed=11)
-        first = fresh_words(stream, 0, 1000, SAMPLE_WORDS["uniform"])[:, 0]
+        first = fresh_words(stream, 0, 1000)[:, 0]
         expected = np.minimum(np.searchsorted(cumulative, first, "right"), size - 1)
         k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
         assert np.array_equal(k, expected)
