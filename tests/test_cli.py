@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from helpers import PAULI_X, PAULI_Z, random_density, random_hermitian
 
-from hobs import EigensolverFailure, EvaluationError, HermiticityViolation, NonFiniteInput, NotAProjector, ZeroInput
+from hobs import (DensityMatrix, EigensolverFailure, EvaluationError, HermiticityViolation, NonFiniteInput, NotAProjector,
+                  SampleStream, ZeroInput, ensemble_from_density)
 from hobs.cli import _digest, _emit_report, _load_complex, cli
 
 
@@ -623,7 +624,9 @@ class TestEveryOptionActs:
             ("context", "--gamma", "arg"),
             ("nogo", "--gamma", "arg"),
             ("verify-trace", "--gamma", "arg"),
+            ("verify-trace", "--gamma", "uniform"),
             ("sample", "--gamma", "arg"),
+            ("sample", "--gamma", "uniform"),
             ("sample", "--tol", "1e-7"),
         ],
     )
@@ -746,6 +749,17 @@ class TestSample:
         assert result.exit_code == 0
         values = {line.split(",")[2] for line in result.output.splitlines()[1:]}
         assert values <= {"-1", "1"}
+
+    def test_row_i_is_read_from_words_2i_and_2i_plus_1(self, runner, files):
+        # the CSV's layout contract: word 0 of a sample picks its component and word 1 is its u, bit for bit
+        result = runner.invoke(cli, ["sample", files["diag37"], "--samples", "3000", "--seed", "13"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        words = SampleStream(seed=13).raw_words(0, 3000, np.empty(2 * 3000))
+        assert [float(row[1]) for row in rows] == words[:, 1].tolist()
+        weights = ensemble_from_density(DensityMatrix(entries=np.diag([0.3, 0.7]))).weights
+        components = np.minimum(np.searchsorted(np.cumsum(weights), words[:, 0], side="right"), weights.size - 1)
+        assert [int(row[0]) for row in rows] == components.tolist()
 
     def test_byte_identical_runs_and_workers(self, runner, files):
         args = ["sample", files["diag37"], "--samples", "70000", "--seed", "11"]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -149,6 +150,42 @@ class TestGammaModel:
     def test_pushforward_is_uniform(self):
         report = pushforward_ks(draw_u(np.random.default_rng(17), 100000))
         assert report.passed, f"KS statistic {report.statistic} >= {report.critical_value}"
+
+    def test_uniform_is_the_only_model(self):
+        # the model has no field left to choose between laws, so every instance is the uniform one
+        assert dataclasses.fields(GammaModel) == ()
+        assert GammaModel.uniform() == GammaModel() == UNIFORM
+        with pytest.raises(TypeError):
+            GammaModel(kind="arg")
+
+    def test_quarter_turn_adds_a_quarter(self):
+        # rotation invariance of the defining map: multiplying by i (exact in floating point) moves u by 1/4 mod 1
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        shift = gamma_from_complex(1j * z) - gamma_from_complex(z)
+        distance = np.abs((shift - 0.25 + 0.5) % 1.0 - 0.5)
+        assert distance.max() < 1e-15
+
+    def test_map_lands_in_open_interval_at_every_scale(self):
+        rng = np.random.default_rng(43)
+        z = (rng.normal(size=20000) + 1j * rng.normal(size=20000)) * 10.0 ** rng.uniform(-300, 300, size=20000)
+        u = gamma_from_complex(z)
+        assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    def test_ks_statistic_is_scipy_s(self):
+        from scipy import stats
+
+        u = draw_u(np.random.default_rng(19), 20000)
+        report = pushforward_ks(u)
+        assert report.n_samples == 20000 and report.significance == 1e-3
+        assert report.statistic == pytest.approx(stats.kstest(u, "uniform").statistic, abs=1e-15)
+        assert report.critical_value == pytest.approx(math.sqrt(-0.5 * math.log(0.5e-3)) / math.sqrt(20000), rel=1e-15)
+
+    def test_ks_rejects_a_skewed_law(self):
+        # u^2 has cdf sqrt(x): D = 1/4 at x = 1/4, far above the 1e-3 critical value at n = 10^5
+        report = pushforward_ks(draw_u(np.random.default_rng(23), 100000) ** 2)
+        assert not report.passed
+        assert report.statistic == pytest.approx(0.25, abs=0.01)
 
 
 class TestHiddenPoint:
@@ -908,3 +945,14 @@ class TestDrawU:
         u2 = draw_u(np.random.default_rng(99), 1000)
         assert np.array_equal(u1, u2)
         assert np.all((u1 > 0.0) & (u1 < 1.0))
+
+    def test_u_is_word_0_of_two_word_rows(self):
+        # the draw support and context make: u is word 2i of the generator, bit for bit
+        words = np.random.default_rng(101).random(2 * 5000)
+        assert np.array_equal(draw_u(np.random.default_rng(101), 5000), u_from_words(words[0::2]))
+
+    def test_draw_advances_two_words_a_sample(self):
+        rng, reference = np.random.default_rng(103), np.random.default_rng(103)
+        draw_u(rng, 777)
+        reference.random(2 * 777)
+        assert rng.random() == reference.random()

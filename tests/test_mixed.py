@@ -245,6 +245,13 @@ class TestSampleStream:
         blocks = list(stream.blocks(250))
         assert blocks == [(0, 100), (100, 100), (200, 50)]
 
+    def test_block_arrays_hold_two_words_a_sample(self):
+        # the word buffer is SAMPLE_WORDS = 2 words a sample; at the default block size a worker's arrays stay
+        # under the 1.1 MB the SampleStream docstring states
+        arrays = _block_arrays(SampleStream(seed=0).block_size)
+        assert arrays[0].size == 2 * 16384
+        assert sum(a.nbytes for a in arrays) < 1.1e6
+
 
 class TestSampleHidden:
     def test_single_component_stays_on_ray(self):
@@ -269,6 +276,17 @@ class TestSampleHidden:
         _, u = _draw_block(mu, _components(mu), stream, 300, 5000)
         assert np.all(words[:, 1] > 0.0)
         assert np.array_equal(u, words[:, 1])
+
+    def test_component_is_searched_in_word_0(self):
+        # word 0 of a sample picks its component: the count of cumulative weights at or below it, clipped to K - 1
+        weights = np.array([0.125, 0.5, 0.25, 0.125])
+        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(4)), gamma=UNIFORM)
+        stream = SampleStream(seed=29)
+        words = fresh_words(stream, 100, 5000)
+        k, _ = _draw_block(mu, _components(mu), stream, 100, 5000)
+        expected = np.minimum(np.searchsorted(np.cumsum(weights), words[:, 0], side="right"), 3)
+        assert np.array_equal(k, expected)
+        assert set(k.tolist()) == {0, 1, 2, 3}
 
     def test_component_counts_within_binomial_bound(self):
         n = 100000

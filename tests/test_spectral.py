@@ -368,6 +368,36 @@ class TestDensityAndStateValidation:
         with pytest.raises(HermiticityViolation):
             DensityMatrix(entries=[[0.5, 0.5], [0.0, 0.5]])
 
+    def test_density_is_symmetrized_as_an_operator_is(self):
+        # a skew part of Frobenius norm 7.07e-13, within tolerance: folded away by the one hermiticity rule
+        raw = [[0.5, 0.1 + 0.5e-12j], [0.1 + 0.5e-12j, 0.5]]
+        assert np.array_equal(DensityMatrix(entries=raw).entries, validate_hermitian(raw).entries)
+
+    def test_density_skew_rejected_with_the_operator_message(self):
+        raw = [[0.5, 0.1 + 1.5e-12j], [0.1 + 1.5e-12j, 0.5]]
+        with pytest.raises(HermiticityViolation) as operator_error:
+            validate_hermitian(raw)
+        with pytest.raises(HermiticityViolation) as density_error:
+            DensityMatrix(entries=raw)
+        assert str(density_error.value) == str(operator_error.value)
+
+    def test_density_and_operator_share_the_skew_boundary(self):
+        # D + t*i*X has skew Frobenius norm t*sqrt(2) against 1e-12 * max(1, ||D||_F) = 1e-12: t = 7.07e-13 is the
+        # boundary, and both checks accept below it and reject above it
+        base = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
+        accepted = []
+        for t in (0.5e-12, 0.7e-12, 0.72e-12, 1.5e-12, 1e-9):
+            raw = base + np.array([[0.0, t * 1j], [t * 1j, 0.0]])
+            try:
+                validate_hermitian(raw)
+            except HermiticityViolation:
+                with pytest.raises(HermiticityViolation):
+                    DensityMatrix(entries=raw)
+            else:
+                DensityMatrix(entries=raw)
+                accepted.append(t)
+        assert accepted == [0.5e-12, 0.7e-12]
+
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             state(0, 0)
