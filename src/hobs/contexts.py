@@ -34,7 +34,6 @@ from .kernel import (
     PROJECTOR_TOL,
     RECONSTRUCT_TOL,
     WITNESS_BLOCK,
-    GammaModel,
     HiddenObservable,
     SharedParameterSum,
     _cumulative,
@@ -97,7 +96,7 @@ class Context:
         return len(self.decomposition.eigenvalues)
 
 
-def joint_diagonalize(family: Sequence[HermitianOperator], gamma: GammaModel = GammaModel.uniform()) -> Context:
+def joint_diagonalize(family: Sequence[HermitianOperator]) -> Context:
     """Build the context of a commuting family by successive refinement.
 
     Starting from one block, the identity basis, each member in family
@@ -151,7 +150,7 @@ def joint_diagonalize(family: Sequence[HermitianOperator], gamma: GammaModel = G
             )
         transfers.append(table)
     generator = HermitianOperator(entries=decomposition.operator_with_values(labels))
-    f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=labels)
+    f0 = HiddenObservable(operator=generator, decomposition=decomposition, values=labels)
     members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
     return Context(f0=f0, members=members)
 
@@ -299,7 +298,6 @@ def _compass_polish(objective, v0: np.ndarray, budget: int) -> tuple[np.ndarray,
 def nogo_witness(
     A: HermitianOperator,
     B: HermitianOperator,
-    gamma: GammaModel = GammaModel.uniform(),
     search: int = 4096,
     rng: np.random.Generator | None = None,
     *,
@@ -320,7 +318,7 @@ def nogo_witness(
     rng = rng if rng is not None else np.random.default_rng(0)
     threshold = 10.0 * tolerance
     if commutes(A, B):
-        ctx = joint_diagonalize([A, B], gamma)
+        ctx = joint_diagonalize([A, B])
         return NogoReport(
             branch="commuting",
             gap=0.0,
@@ -331,7 +329,7 @@ def nogo_witness(
             caveats=(SHARED_U_CAVEAT,),
         )
 
-    h = SharedParameterSum(parts=(build_hidden_observable(A, gamma), build_hidden_observable(B, gamma)))
+    h = SharedParameterSum(parts=(build_hidden_observable(A), build_hidden_observable(B)))
     candidate = orthodoxy_reconstruct(h, rng=rng)
     reconstruction_error = float(np.linalg.norm(candidate.entries - (A.entries + B.entries)))
 
@@ -371,7 +369,7 @@ def nogo_witness(
 # Partition contexts (orthogonal projector families)
 
 
-def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Context:
+def make_partition_context(projectors: Sequence) -> Context:
     """Validate an orthogonal family of nonzero projectors and build its context.
 
     The generator carries label n on the range of the n-th projector
@@ -386,7 +384,7 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Context:
     props = []
     for idx, E in enumerate(mats):
         try:
-            props.append(proposition_from_projector(E, gamma))
+            props.append(proposition_from_projector(E))
         except NotAProjector as exc:
             raise NotOrthogonalFamily(f"member {idx}: {exc}") from exc
         if E.shape != (dim, dim):
@@ -411,6 +409,6 @@ def make_partition_context(projectors: Sequence, gamma: GammaModel) -> Context:
     offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     decomposition = SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.hstack(blocks), offsets=offsets)
     generator = HermitianOperator(entries=decomposition.operator_with_values(eigenvalues))
-    f0 = HiddenObservable(operator=generator, decomposition=decomposition, gamma=gamma, values=eigenvalues)
+    f0 = HiddenObservable(operator=generator, decomposition=decomposition, values=eigenvalues)
     members = tuple(replace(f0, operator=p.operator, values=eigenvalues == n) for n, p in enumerate(props, start=1))
     return Context(f0=f0, members=members)

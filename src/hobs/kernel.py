@@ -66,10 +66,9 @@ KS_SIGNIFICANCE = 1e-3  # pushforward_ks's level alpha
 class GammaModel:
     """The hidden parameter model: u is uniform on (0, 1) on every line.
 
-    It is the only model.  The type and `uniform()` remain because the benchmark's stage timer still
-    passes the fields and parameters that carry it (HiddenObservable.gamma, HiddenMixedState.gamma,
-    build_hidden_observable's gamma and the other sites of ROADMAP item 9).  Nothing reads them; they
-    go, with those uses, in the benchmark change of ROADMAP item 4.
+    It is the only model, and nothing reads it.  The type and `uniform()` remain only because the
+    benchmark's stage timer still passes one to build_hidden_observable and to HiddenMixedState; they
+    go, with those uses, in the benchmark change of ROADMAP items 4 and 9.
     """
 
     @classmethod
@@ -257,7 +256,6 @@ class HiddenObservable:
 
     operator: HermitianOperator
     decomposition: SpectralDecomposition
-    gamma: GammaModel
     values: np.ndarray
 
     def __post_init__(self):
@@ -286,10 +284,10 @@ class HiddenObservable:
         return _bulk_line_weights(self.decomposition, rays) @ self.values
 
 
-def build_hidden_observable(T: HermitianOperator, gamma: GammaModel = GammaModel.uniform()) -> HiddenObservable:
-    """The observable function of T."""
+def build_hidden_observable(T: HermitianOperator, gamma: GammaModel | None = None) -> HiddenObservable:
+    """The observable function of T; `gamma` is ignored, and stays only for perfbench/stages.py (ROADMAP item 9)."""
     S = spectral_decompose(T)
-    return HiddenObservable(operator=T, decomposition=S, gamma=gamma, values=S.eigenvalues)
+    return HiddenObservable(operator=T, decomposition=S, values=S.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -480,7 +478,7 @@ def orthodoxy_second_moment_gap(
 # Hidden propositions
 
 
-def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
+def proposition_from_projector(E) -> HiddenObservable:
     """The proposition realizing a projector E: its observable function.
 
     The spectral data is pinned to the exact eigenvalues {0, 1}, with the
@@ -504,7 +502,7 @@ def proposition_from_projector(E, gamma: GammaModel) -> HiddenObservable:
     w, vectors = np.linalg.eigh(E)
     offsets = _cluster_offsets(w, 0.5)  # the eigenvalues near 0, then those near 1
     S = SpectralDecomposition(eigenvalues=(_cluster_means(w, offsets)[0] > 0.5) * 1.0, vectors=vectors, offsets=offsets)
-    return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, gamma=gamma, values=S.eigenvalues)
+    return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, values=S.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class Ensemble:
 @dataclass(frozen=True)
 class HiddenMixedState:
     ensemble: Ensemble
-    gamma: GammaModel = GammaModel.uniform()
+    gamma: GammaModel = GammaModel.uniform()  # read by nothing; kept for perfbench/stages.py (ROADMAP item 9)
 
     @property
     def dim(self) -> int:
@@ -191,7 +191,7 @@ def _block_arrays(size: int) -> list[np.ndarray]:
             *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size), np.empty(size, dtype=bool)]
 
 
-def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: int, count: int, arrays=None, rng=None):
+def _draw_block(components, stream: SampleStream, start: int, count: int, arrays=None, rng=None):
     """Component indices and hidden parameters for one sample range, drawn by `rng` (see raw_words) into `arrays`
     (of count samples) if given."""
     buffer, first, u, k, _, *scratch = arrays or _block_arrays(count)
@@ -201,10 +201,10 @@ def _draw_block(mu: HiddenMixedState, components, stream: SampleStream, start: i
     return k, u_from_words(words[:, 1], out=u)
 
 
-def _block_values(tables, mu: HiddenMixedState, stream: SampleStream, start: int, count: int, arrays, rng=None):
+def _block_values(tables, stream: SampleStream, start: int, count: int, arrays, rng=None):
     """Component indices, hidden parameters and quantile pieces (row k of the piece table) of a sample range, in
     `_block_arrays` of count samples."""
-    k, u = _draw_block(mu, tables[0], stream, start, count, arrays, rng)
+    k, u = _draw_block(tables[0], stream, start, count, arrays, rng)
     return k, u, _row_search_into(tables[1], u, k, arrays[4], arrays[5:])
 
 
@@ -216,7 +216,7 @@ def sample_hidden(mu: HiddenMixedState, stream: SampleStream, n: int) -> list[Hi
     points: list[HiddenPoint] = []
     components = _components(mu)
     for start, count in stream.blocks(n):
-        k, u = _draw_block(mu, components, stream, start, count)
+        k, u = _draw_block(components, stream, start, count)
         points.extend(HiddenPoint(ray=states[ki], u=ui) for ki, ui in zip(k, u))
     return points
 
@@ -236,7 +236,7 @@ def _sample_blocks(f: HiddenObservable, mu: HiddenMixedState, stream: SampleStre
             local.arrays, local.rng = _block_arrays(stream.block_size), stream.generator()
         words, *rest = local.arrays  # raw_words cuts the word buffer to the words it draws
         arrays = [words, *(a[:count] for a in rest)]
-        return reduce(*_block_values(tables, mu, stream, start, count, arrays, local.rng))
+        return reduce(*_block_values(tables, stream, start, count, arrays, local.rng))
 
     blocks = stream.blocks(n)
     return map(fn, blocks) if workers == 1 else _threaded_blocks(fn, blocks, workers)

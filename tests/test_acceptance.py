@@ -24,7 +24,6 @@ from helpers import (
 
 from hobs import (
     Ensemble,
-    GammaModel,
     HiddenMixedState,
     SampleStream,
     apply_borel,
@@ -50,8 +49,6 @@ from hobs import (
     validate_hermitian,
 )
 
-UNIFORM = GammaModel.uniform()
-
 
 def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {number:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -75,8 +72,8 @@ def test_criterion_1_central_identity_exact_path():
     started = time.perf_counter()
     worst = 0.0
     for T, D, b in _instances(200):
-        f = build_hidden_observable(T, UNIFORM)
-        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=UNIFORM)
+        f = build_hidden_observable(T)
+        mu = HiddenMixedState(ensemble=ensemble_from_density(D))
         trace_value = trace_expectation(apply_borel(f.decomposition, b), D)
         mean = exact_classical_mean(f, b, mu)
         worst = max(worst, abs(trace_value - mean) / max(1.0, abs(trace_value)))
@@ -89,8 +86,8 @@ def test_criterion_2_central_identity_monte_carlo():
     started = time.perf_counter()
     hits = 0
     for idx, (T, D, b) in enumerate(_instances(50)):
-        f = build_hidden_observable(T, UNIFORM)
-        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=UNIFORM)
+        f = build_hidden_observable(T)
+        mu = HiddenMixedState(ensemble=ensemble_from_density(D))
         trace_value = trace_expectation(apply_borel(f.decomposition, b), D)
         est = mc_estimate(f, b, mu, SampleStream(seed=idx), 1_000_000)
         gap = abs(est.mean - trace_value)
@@ -110,7 +107,7 @@ def test_criterion_3_moment_theorem():
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 9))
-        f = build_hidden_observable(random_hermitian(rng, dim), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, dim))
         psi = random_ray(rng, dim)
         report = moments_check(f, psi, n_max=8, tol=1e-10)
         ok = ok and report.passed
@@ -120,7 +117,7 @@ def test_criterion_3_moment_theorem():
 
 def test_criterion_4_spectral_support_strong_form():
     rng = np.random.default_rng(4)
-    f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
+    f = build_hidden_observable(random_hermitian(rng, 8))
     report = spectral_support_check(f, n_rays=100, samples_per_ray=1000, rng=rng)
     ok = report.passed and report.n_evaluations == 100000
     _criterion(
@@ -156,8 +153,8 @@ def test_criterion_6_density_correspondence():
         dim = int(rng.integers(2, 9))
         E = random_projector(rng, dim, int(rng.integers(1, dim + 1)))
         D = random_density(rng, dim)
-        L = proposition_from_projector(E, UNIFORM)
-        mu = HiddenMixedState(ensemble=ensemble_from_density(D), gamma=UNIFORM)
+        L = proposition_from_projector(E)
+        mu = HiddenMixedState(ensemble=ensemble_from_density(D))
         gap = abs(hidden_state_measure(L, mu) - float(np.trace(E @ D.entries).real))
         worst = max(worst, gap)
     ok = worst <= 1e-10
@@ -172,9 +169,9 @@ def test_criterion_6_density_correspondence():
     for _ in range(20):
         T = random_hermitian(rng, 2)
         b = parse(random_expression_text(rng, depth=3))
-        f = build_hidden_observable(T, UNIFORM)
-        m1 = exact_classical_mean(f, b, HiddenMixedState(ensemble=eigen, gamma=UNIFORM))
-        m2 = exact_classical_mean(f, b, HiddenMixedState(ensemble=rotated, gamma=UNIFORM))
+        f = build_hidden_observable(T)
+        m1 = exact_classical_mean(f, b, HiddenMixedState(ensemble=eigen))
+        m2 = exact_classical_mean(f, b, HiddenMixedState(ensemble=rotated))
         worst_pair = max(worst_pair, abs(m1 - m2))
     ok = ok and worst_pair <= 1e-10
     _criterion(
@@ -198,7 +195,7 @@ def test_criterion_7_context_homomorphism():
             coeffs = rng.uniform(-1.0, 1.0, size=4)
             entries = sum(c * np.linalg.matrix_power(base.entries, k) for k, c in enumerate(coeffs))
             family.append(validate_hermitian(entries))
-        ctx = joint_diagonalize(family, UNIFORM)
+        ctx = joint_diagonalize(family)
         report = homomorphism_check(ctx, trials=8, rng=rng)
         ok = ok and report.passed and report.max_operator_error <= 1e-8
         ok = ok and report.max_additive_deviation == 0.0 and report.max_multiplicative_deviation == 0.0
@@ -207,7 +204,7 @@ def test_criterion_7_context_homomorphism():
 
 
 def test_criterion_8_nogo_witness():
-    report = nogo_witness(op(PAULI_Z), op(PAULI_X), UNIFORM, search=4096, rng=np.random.default_rng(8))
+    report = nogo_witness(op(PAULI_Z), op(PAULI_X), search=4096, rng=np.random.default_rng(8))
     ok = report.branch == "witness" and report.gap >= 2.0 - 1e-6
 
     rng = np.random.default_rng(88)
@@ -220,7 +217,7 @@ def test_criterion_8_nogo_witness():
         if commutes(A, B):
             continue
         tried += 1
-        pair_report = nogo_witness(A, B, UNIFORM, search=512, rng=rng)
+        pair_report = nogo_witness(A, B, search=512, rng=rng)
         found += pair_report.branch == "witness" and pair_report.gap > pair_report.gap_threshold
     ok = ok and found == 20
     _criterion(

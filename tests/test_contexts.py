@@ -10,7 +10,6 @@ from helpers import PAULI_X, PAULI_Z, op, random_hermitian, random_projector, st
 from hobs import (
     DegeneracyResolutionFailure,
     DimensionMismatch,
-    GammaModel,
     HiddenPoint,
     NotCommuting,
     NotOrthogonalFamily,
@@ -32,8 +31,6 @@ from hobs import (
     validate_hermitian,
 )
 
-UNIFORM = GammaModel.uniform()
-
 
 def random_commuting_family(rng, dim, size):
     """Polynomials of one random generator, the canonical commuting family."""
@@ -48,19 +45,19 @@ def random_commuting_family(rng, dim, size):
 
 class TestJointDiagonalize:
     def test_already_diagonal_pair(self):
-        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
+        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))])
         assert np.array_equal(ctx.decomposition.eigenvalues, [1.0, 2.0])
         assert dict(enumerate(ctx.members[0].values, start=1)) == {1: 1.0, 2: 2.0}
         assert dict(enumerate(ctx.members[1].values, start=1)) == {1: 3.0, 2: 3.0}
 
     def test_identity_single_eigenspace(self):
-        ctx = joint_diagonalize([op(np.eye(3))], UNIFORM)
+        ctx = joint_diagonalize([op(np.eye(3))])
         assert np.array_equal(ctx.decomposition.eigenvalues, [1.0])
         assert dict(enumerate(ctx.members[0].values, start=1)) == {1: 1.0}
 
     def test_involution_and_its_square(self):
         # joint basis is the eigenbasis of X; X^2 = I is constant on it
-        ctx = joint_diagonalize([op(PAULI_X), op(PAULI_X @ PAULI_X)], UNIFORM)
+        ctx = joint_diagonalize([op(PAULI_X), op(PAULI_X @ PAULI_X)])
         w, v = np.linalg.eigh(PAULI_X)  # independent eigensolver oracle
         table_x = dict(enumerate(ctx.members[0].values, start=1))
         assert table_x[1] == pytest.approx(w[0], abs=1e-10)
@@ -75,28 +72,28 @@ class TestJointDiagonalize:
         # tolerance scaled by the offset instead of the spread would merge
         rng = np.random.default_rng(seed)
         T = shift * np.eye(dim) + random_hermitian(rng, dim, scale=0.01).entries
-        ctx = joint_diagonalize([op(T), op(T @ T - T)], UNIFORM)
+        ctx = joint_diagonalize([op(T), op(T @ T - T)])
         assert ctx.n_labels == dim
         np.testing.assert_allclose(np.sort(ctx.members[0].values), np.linalg.eigvalsh(T), rtol=0.0, atol=1e-6)
 
     def test_non_commuting_rejected(self):
         with pytest.raises(NotCommuting):
-            joint_diagonalize([op(PAULI_X), op(PAULI_Z)], UNIFORM)
+            joint_diagonalize([op(PAULI_X), op(PAULI_Z)])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            joint_diagonalize([op(np.eye(2)), op(np.eye(3))], UNIFORM)
+            joint_diagonalize([op(np.eye(2)), op(np.eye(3))])
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
-            joint_diagonalize([], UNIFORM)
+            joint_diagonalize([])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_labels_and_reconstruction(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 10))
         family = random_commuting_family(rng, dim, size=int(rng.integers(2, 5)))
-        ctx = joint_diagonalize(family, UNIFORM)
+        ctx = joint_diagonalize(family)
         m = len(ctx.decomposition.eigenvalues)
         assert np.array_equal(ctx.decomposition.eigenvalues, np.arange(1, m + 1, dtype=float))
         for member in ctx.members:
@@ -111,7 +108,7 @@ class TestJointDiagonalize:
         from hobs import apply_borel
 
         rng = np.random.default_rng(50)
-        ctx = joint_diagonalize(random_commuting_family(rng, 5, 2), UNIFORM)
+        ctx = joint_diagonalize(random_commuting_family(rng, 5, 2))
         for member in ctx.members:
             table = member.values
             rebuilt = apply_borel(ctx.decomposition, lambda lam: table[int(round(lam)) - 1])
@@ -121,7 +118,7 @@ class TestJointDiagonalize:
     def test_misjudged_commuting_pair_fails_reconstruction(self):
         # 2^-20 (Z, X) passes commutes() under its absolute floor; the blocks refined on Z cannot carry X
         with pytest.raises(DegeneracyResolutionFailure):
-            joint_diagonalize([op(2.0**-20 * PAULI_Z), op(2.0**-20 * PAULI_X)], UNIFORM)
+            joint_diagonalize([op(2.0**-20 * PAULI_Z), op(2.0**-20 * PAULI_X)])
 
     @given(
         dim=st.integers(2, 8),
@@ -138,7 +135,7 @@ class TestJointDiagonalize:
         values = [np.ldexp(np.array(row[:dim], dtype=float), e) for row, e in zip(digits, exponents)]
         rotated = [(q * v) @ q.conj().T for v in values]
         family = [validate_hermitian((m + m.conj().T) / 2) for m in rotated]
-        ctx = joint_diagonalize(family, UNIFORM)
+        ctx = joint_diagonalize(family)
         assert ctx.n_labels == len(set(zip(*(v.tolist() for v in values))))
         for member in ctx.members:
             rebuilt = ctx.decomposition.operator_with_values(member.values)
@@ -147,14 +144,14 @@ class TestJointDiagonalize:
 
     def test_generator_spectrum_is_exact_integers(self):
         rng = np.random.default_rng(40)
-        ctx = joint_diagonalize(random_commuting_family(rng, 6, 3), UNIFORM)
+        ctx = joint_diagonalize(random_commuting_family(rng, 6, 3))
         assert ctx.f0.decomposition.eigenvalues.dtype == np.float64
         assert all(float(x).is_integer() for x in ctx.f0.decomposition.eigenvalues)
 
 
 class TestContextMembers:
     def test_constant_member(self):
-        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
+        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))])
         g = ctx.members[1]
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -164,7 +161,7 @@ class TestContextMembers:
     def test_generator_member_matches_f0(self):
         rng = np.random.default_rng(2)
         base = random_hermitian(rng, 4)
-        ctx = joint_diagonalize([base], UNIFORM)
+        ctx = joint_diagonalize([base])
         g = ctx.members[0]
         for _ in range(10):
             point = HiddenPoint(ray=random_ray(rng, 4), u=float(rng.uniform(0.01, 0.99)))
@@ -173,9 +170,9 @@ class TestContextMembers:
 
     def test_involution_member_matches_standalone_quantile(self):
         rng = np.random.default_rng(3)
-        ctx = joint_diagonalize([op(PAULI_X)], UNIFORM)
+        ctx = joint_diagonalize([op(PAULI_X)])
         g = ctx.members[0]
-        f = build_hidden_observable(op(PAULI_X), UNIFORM)
+        f = build_hidden_observable(op(PAULI_X))
         psi = state(1, 0)
         for u in rng.uniform(0.01, 0.99, size=25):
             direct = quantile(f.decomposition, psi, float(u))
@@ -184,7 +181,7 @@ class TestContextMembers:
     def test_reconstructed_operator_is_member(self):
         rng = np.random.default_rng(4)
         family = random_commuting_family(rng, 5, 3)
-        ctx = joint_diagonalize(family, UNIFORM)
+        ctx = joint_diagonalize(family)
         for i, member in enumerate(ctx.members):
             rebuilt = orthodoxy_reconstruct(ctx.members[i], rng=rng)
             scale = max(1.0, np.linalg.norm(member.operator.entries))
@@ -193,17 +190,17 @@ class TestContextMembers:
     def test_statistically_equivalent_to_standalone(self):
         rng = np.random.default_rng(5)
         family = random_commuting_family(rng, 6, 2)
-        ctx = joint_diagonalize(family, UNIFORM)
+        ctx = joint_diagonalize(family)
         rays = [random_ray(rng, 6) for _ in range(15)]
         for i, member in enumerate(ctx.members):
-            standalone = build_hidden_observable(member.operator, UNIFORM)
+            standalone = build_hidden_observable(member.operator)
             report = statistical_equivalence_check(ctx.members[i], standalone, rays, weight_tol=1e-10)
             assert report.passed, report.failures
 
 
 class TestContextCombine:
     def test_hand_sum(self):
-        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
+        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))])
         fn, operator = context_combine(ctx, [2.0, 3.0], "sum")
         assert dict(enumerate(fn.values, start=1)) == {1: 11.0, 2: 13.0}
         np.testing.assert_allclose(operator.entries, np.diag([11.0, 13.0]), atol=1e-12)
@@ -211,7 +208,7 @@ class TestContextCombine:
     def test_sum_of_opposites_is_zero(self):
         rng = np.random.default_rng(6)
         A = random_hermitian(rng, 3)
-        ctx = joint_diagonalize([A, validate_hermitian(-A.entries)], UNIFORM)
+        ctx = joint_diagonalize([A, validate_hermitian(-A.entries)])
         fn, operator = context_combine(ctx, [1.0, 1.0], "sum")
         np.testing.assert_allclose(fn.values, 0.0, atol=1e-10)
         np.testing.assert_allclose(operator.entries, 0.0, atol=1e-10)
@@ -219,14 +216,14 @@ class TestContextCombine:
     def test_product_squares_member(self):
         rng = np.random.default_rng(7)
         A = random_hermitian(rng, 3)
-        ctx = joint_diagonalize([A, A], UNIFORM)
+        ctx = joint_diagonalize([A, A])
         fn, operator = context_combine(ctx, [1.0, 1.0], "product")
         np.testing.assert_allclose(fn.values, ctx.members[0].values ** 2, atol=1e-12)
         scale = max(1.0, np.linalg.norm(A.entries) ** 2)
         assert np.linalg.norm(operator.entries - A.entries @ A.entries) <= 1e-10 * scale
 
     def test_coefficient_count_checked(self):
-        ctx = joint_diagonalize([op(np.eye(2))], UNIFORM)
+        ctx = joint_diagonalize([op(np.eye(2))])
         with pytest.raises(ValueError):
             context_combine(ctx, [1.0, 2.0], "sum")
 
@@ -236,7 +233,7 @@ class TestHomomorphismCheck:
     def test_random_family_exactly_closed(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
-        ctx = joint_diagonalize(random_commuting_family(rng, dim, 3), UNIFORM)
+        ctx = joint_diagonalize(random_commuting_family(rng, dim, 3))
         report = homomorphism_check(ctx, trials=8, rng=rng)
         assert report.passed
         assert report.max_additive_deviation == 0.0
@@ -245,18 +242,18 @@ class TestHomomorphismCheck:
 
     def test_single_member_degenerate_pass(self):
         rng = np.random.default_rng(19)
-        ctx = joint_diagonalize([random_hermitian(rng, 3)], UNIFORM)
+        ctx = joint_diagonalize([random_hermitian(rng, 3)])
         assert homomorphism_check(ctx, trials=4, rng=rng).passed
 
     def test_diagonal_family_operator_sums(self):
-        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))], UNIFORM)
+        ctx = joint_diagonalize([op(np.diag([1.0, 2.0])), op(np.diag([3.0, 3.0]))])
         report = homomorphism_check(ctx, trials=8)
         assert report.passed
 
 
 class TestNogoWitness:
     def test_diagonal_pair_takes_commuting_branch(self):
-        report = nogo_witness(op(np.diag([1.0, 2.0])), op(np.diag([5.0, 5.0])), UNIFORM, search=16)
+        report = nogo_witness(op(np.diag([1.0, 2.0])), op(np.diag([5.0, 5.0])), search=16)
         assert report.branch == "commuting"
         assert report.context is not None
         assert SHARED_U_CAVEAT in report.caveats
@@ -264,12 +261,12 @@ class TestNogoWitness:
     def test_equal_operators_commute(self):
         rng = np.random.default_rng(8)
         A = random_hermitian(rng, 3)
-        report = nogo_witness(A, A, UNIFORM, search=16, rng=rng)
+        report = nogo_witness(A, A, search=16, rng=rng)
         assert report.branch == "commuting"
 
     def test_pauli_pair_reaches_maximal_gap(self):
         report = nogo_witness(
-            op(PAULI_Z), op(PAULI_X), UNIFORM, search=512, rng=np.random.default_rng(0)
+            op(PAULI_Z), op(PAULI_X), search=512, rng=np.random.default_rng(0)
         )
         assert report.branch == "witness"
         assert report.gap >= 2.0 - 1e-6
@@ -281,10 +278,10 @@ class TestNogoWitness:
         from hobs import SharedParameterSum, StateVector, orthodoxy_second_moment_gap
 
         report = nogo_witness(
-            op(PAULI_Z), op(PAULI_X), UNIFORM, search=128, rng=np.random.default_rng(1)
+            op(PAULI_Z), op(PAULI_X), search=128, rng=np.random.default_rng(1)
         )
         h = SharedParameterSum(
-            parts=(build_hidden_observable(op(PAULI_Z), UNIFORM), build_hidden_observable(op(PAULI_X), UNIFORM))
+            parts=(build_hidden_observable(op(PAULI_Z)), build_hidden_observable(op(PAULI_X)))
         )
         total = validate_hermitian(PAULI_Z + PAULI_X)
         psi = StateVector(components=report.witness_ray)
@@ -296,7 +293,7 @@ class TestNogoWitness:
         for _ in range(5):
             A = random_hermitian(rng, dim)
             B = random_hermitian(rng, dim)
-            report = nogo_witness(A, B, UNIFORM, search=256, rng=rng)
+            report = nogo_witness(A, B, search=256, rng=rng)
             from hobs import commutes
 
             if commutes(A, B):
@@ -311,7 +308,7 @@ class TestNogoWitness:
         rng = np.random.default_rng(31)
         A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
         after = np.random.default_rng(5)
-        nogo_witness(A, B, UNIFORM, search=search, rng=after, polish_budget=10)
+        nogo_witness(A, B, search=search, rng=after, polish_budget=10)
         expected = np.random.default_rng(5)
         for _ in range(32 + search):
             random_ray(expected, 3)
@@ -395,7 +392,7 @@ class TestCompassPolish:
 
 class TestPartitionContext:
     def test_single_full_projector(self):
-        member = context_combine(make_partition_context([np.eye(2)], UNIFORM), [5.0])[0]
+        member = context_combine(make_partition_context([np.eye(2)]), [5.0])[0]
         rng = np.random.default_rng(9)
         for _ in range(5):
             point = HiddenPoint(ray=random_ray(rng, 2), u=float(rng.uniform(0.01, 0.99)))
@@ -405,7 +402,7 @@ class TestPartitionContext:
     def test_projector_and_complement(self):
         rng = np.random.default_rng(10)
         E = random_projector(rng, 4, 2)
-        member = context_combine(make_partition_context([E, np.eye(4) - E], UNIFORM), [1.0, 0.0])[0]
+        member = context_combine(make_partition_context([E, np.eye(4) - E]), [1.0, 0.0])[0]
         np.testing.assert_allclose(member.operator.entries, E, atol=1e-10)
         for _ in range(10):
             psi = random_ray(rng, 4)
@@ -416,7 +413,7 @@ class TestPartitionContext:
 
     def test_rank_one_basis_family(self):
         projectors = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        member = context_combine(make_partition_context(projectors, UNIFORM), [1.0, 2.0, 3.0])[0]
+        member = context_combine(make_partition_context(projectors), [1.0, 2.0, 3.0])[0]
         np.testing.assert_allclose(member.operator.entries, np.diag([1.0, 2.0, 3.0]), atol=1e-12)
         rebuilt = orthodoxy_reconstruct(member)
         np.testing.assert_allclose(rebuilt.entries, np.diag([1.0, 2.0, 3.0]), atol=1e-8)
@@ -429,7 +426,7 @@ class TestPartitionContext:
         kernel = q - (E1 @ q)
         kernel, _ = np.linalg.qr(kernel)
         E2 = np.outer(kernel[:, 0], kernel[:, 0].conj())
-        ctx = make_partition_context([E1, E2], UNIFORM)
+        ctx = make_partition_context([E1, E2])
         member = context_combine(ctx, [2.5, -1.5])[0]
         values = set()
         for _ in range(50):
@@ -441,7 +438,7 @@ class TestPartitionContext:
         rng = np.random.default_rng(12)
         basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         projectors = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
-        ctx = make_partition_context(projectors, UNIFORM)
+        ctx = make_partition_context(projectors)
         psi = random_ray(rng, 4)
         total = sum(line_mean(L, psi) for L in ctx.members)
         from hobs import expectation
@@ -453,7 +450,7 @@ class TestPartitionContext:
         rng = np.random.default_rng(13)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         projectors = [basis[:, :1] @ basis[:, :1].conj().T, basis[:, 1:3] @ basis[:, 1:3].conj().T]
-        ctx = make_partition_context(projectors, UNIFORM)
+        ctx = make_partition_context(projectors)
         assert ctx.f0.values[0] == 0.0
         S = ctx.decomposition
         assert np.array_equal(S.eigenvalues, [0.0, 1.0, 2.0])
@@ -466,15 +463,15 @@ class TestPartitionContext:
     def test_orthogonality_enforced(self):
         E = np.diag([1.0, 0.0])
         with pytest.raises(NotOrthogonalFamily):
-            make_partition_context([E, E], UNIFORM)
+            make_partition_context([E, E])
 
     def test_zero_projector_rejected(self):
         with pytest.raises(NotOrthogonalFamily):
-            make_partition_context([np.zeros((2, 2))], UNIFORM)
+            make_partition_context([np.zeros((2, 2))])
 
     def test_non_projector_rejected(self):
         with pytest.raises(NotOrthogonalFamily):
-            make_partition_context([np.diag([0.5, 0.0])], UNIFORM)
+            make_partition_context([np.diag([0.5, 0.0])])
 
     @pytest.mark.parametrize("dim", range(2, 9))
     @pytest.mark.parametrize("complement", [False, True])
@@ -486,7 +483,7 @@ class TestPartitionContext:
         cuts = np.sort(rng.choice(np.arange(1, stop), size=int(rng.integers(0, stop)), replace=False))
         edges = [0, *cuts.tolist(), stop]
         projectors = [basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
-        ctx = make_partition_context(projectors, UNIFORM)
+        ctx = make_partition_context(projectors)
         assert (ctx.f0.values[0] == 0.0) == complement
         report = homomorphism_check(ctx, trials=8, rng=rng)
         assert report.passed
@@ -501,4 +498,4 @@ class TestPartitionContext:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_projector_rejected(self, bad):
         with pytest.raises(NotOrthogonalFamily):
-            make_partition_context([np.eye(2), np.diag([bad, 0.0])], UNIFORM)
+            make_partition_context([np.eye(2), np.diag([bad, 0.0])])

@@ -62,8 +62,6 @@ from hobs.kernel import (
     u_from_words,
 )
 
-UNIFORM = GammaModel.uniform()
-
 
 def comonotone_law(parts, psi, combine=np.add):
     """Test-local merged-edge law of parts fed by one shared u.
@@ -154,7 +152,7 @@ class TestGammaModel:
     def test_uniform_is_the_only_model(self):
         # the model has no field left to choose between laws, so every instance is the uniform one
         assert dataclasses.fields(GammaModel) == ()
-        assert GammaModel.uniform() == GammaModel() == UNIFORM
+        assert GammaModel.uniform() == GammaModel()
         with pytest.raises(TypeError):
             GammaModel(kind="arg")
 
@@ -343,42 +341,42 @@ class TestRowSearch:
 
 class TestHiddenObservable:
     def test_eigenstate_is_constant(self):
-        f = build_hidden_observable(op(np.diag([1.0, 0.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([1.0, 0.0])))
         for u in (0.01, 0.5, 0.99):
             assert f.evaluate(HiddenPoint(ray=state(1, 0), u=u)) == 1.0
 
     def test_balanced_diagonal_threshold(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         psi = state(1, 1)
         assert f.evaluate(HiddenPoint(ray=psi, u=0.5)) == -1.0
         assert f.evaluate(HiddenPoint(ray=psi, u=0.5000001)) == 1.0
 
     def test_pauli_x_threshold_from_cdf_oracle(self):
-        f = build_hidden_observable(op(PAULI_X), UNIFORM)
+        f = build_hidden_observable(op(PAULI_X))
         psi = state(1, 0)
         c = cdf(f.decomposition, psi, -1.0)
         assert f.evaluate(HiddenPoint(ray=psi, u=c)) == f.decomposition.eigenvalues[0]
         assert f.evaluate(HiddenPoint(ray=psi, u=c + 1e-12)) == f.decomposition.eigenvalues[1]
 
     def test_dimension_mismatch(self):
-        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(3)))
         with pytest.raises(DimensionMismatch):
             f.evaluate(HiddenPoint(ray=state(1, 0), u=0.5))
 
     def test_value_table_needs_one_entry_per_piece(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         with pytest.raises(DimensionMismatch):
-            HiddenObservable(operator=f.operator, decomposition=f.decomposition, gamma=UNIFORM, values=[1.0])
+            HiddenObservable(operator=f.operator, decomposition=f.decomposition, values=[1.0])
 
     def test_values_stay_in_spectrum(self):
         rng = np.random.default_rng(23)
-        f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 8))
         report = spectral_support_check(f, n_rays=50, samples_per_ray=200, rng=rng)
         assert report.passed and report.n_evaluations == 10000
 
     def test_ray_invariance_of_evaluate(self):
         rng = np.random.default_rng(29)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         v = random_unit(rng, 4)
         for z in (2.0, -0.5 + 0.25j, 1j):
             for u in rng.random(10) * 0.98 + 0.01:
@@ -388,7 +386,7 @@ class TestHiddenObservable:
 
     def test_line_distribution_partitions_unit_interval(self):
         rng = np.random.default_rng(31)
-        f = build_hidden_observable(random_hermitian(rng, 6), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 6))
         values, weights = f.line_distribution(state(*random_unit(rng, 6)))
         assert np.array_equal(values, f.values)
         assert np.all(weights >= 0.0)
@@ -397,23 +395,23 @@ class TestHiddenObservable:
 
 class TestLineIntegral:
     def test_symmetric_identity_function(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         assert line_integral_exact(f, parse("x"), state(1, 1)) == pytest.approx(0.0, abs=1e-15)
 
     def test_square_of_sign_spectrum(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         assert line_integral_exact(f, parse("x^2"), state(1, 1)) == pytest.approx(1.0, abs=1e-15)
 
     def test_pauli_x_mean_hand_value(self):
         # <X psi, psi>/||psi||^2 at psi=(2,1): 2*Re(2*conj(1))/5 = 4/5
-        f = build_hidden_observable(op(PAULI_X), UNIFORM)
+        f = build_hidden_observable(op(PAULI_X))
         assert line_integral_exact(f, parse("x"), state(2, 1)) == pytest.approx(0.8, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_functional_calculus_expectation(self, seed):
         rng = np.random.default_rng(seed)
         T = random_hermitian(rng, 6)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         psi = state(*random_unit(rng, 6))
         b = parse("min(x^2, 2) - abs(x)")
         lhs = line_integral_exact(f, b, psi)
@@ -423,7 +421,7 @@ class TestLineIntegral:
     def test_matches_riemann_grid_oracle(self):
         rng = np.random.default_rng(77)
         T = random_hermitian(rng, 4)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         psi = state(*random_unit(rng, 4))
         exact = line_integral_exact(f, parse("x"), psi)
         grid = riemann_line_mean(f, psi, n=20001)
@@ -431,20 +429,20 @@ class TestLineIntegral:
 
     def test_line_mean_agrees_with_line_integral(self):
         rng = np.random.default_rng(13)
-        f = build_hidden_observable(random_hermitian(rng, 5), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 5))
         psi = state(*random_unit(rng, 5))
         assert line_mean(f, psi) == pytest.approx(line_integral_exact(f, parse("x"), psi), abs=1e-14)
 
 
 class TestMoments:
     def test_identity_operator_all_zero_error(self):
-        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(3)))
         report = moments_check(f, state(1, 1j, -2), n_max=5, tol=1e-12)
         assert report.passed
         assert all(e == pytest.approx(0.0, abs=1e-14) for e in report.errors)
 
     def test_sign_spectrum_second_moment(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         report = moments_check(f, state(1, 1), n_max=2, tol=1e-12)
         assert report.line_moments[2] == pytest.approx(1.0, abs=1e-15)
         assert report.operator_moments[2] == pytest.approx(1.0, abs=1e-15)
@@ -453,7 +451,7 @@ class TestMoments:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_operator_matches_matrix_powers(self, seed):
         rng = np.random.default_rng(seed)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         psi = state(*random_unit(rng, 4))
         report = moments_check(f, psi, n_max=5, tol=1e-10)
         assert report.passed, report.errors
@@ -463,20 +461,20 @@ class TestOrthodoxy:
     def test_reconstructs_known_operator(self):
         rng = np.random.default_rng(3)
         T = random_hermitian(rng, 4)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         rebuilt = orthodoxy_reconstruct(f, rng=rng)
         assert np.linalg.norm(rebuilt.entries - T.entries) <= 1e-10 * max(1.0, np.linalg.norm(T.entries))
 
     def test_constant_function_gives_scaled_identity(self):
-        f = build_hidden_observable(op(2.5 * np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(2.5 * np.eye(3)))
         rebuilt = orthodoxy_reconstruct(f)
         np.testing.assert_allclose(rebuilt.entries, 2.5 * np.eye(3), atol=1e-12)
 
     def test_shared_sum_reconstructs_operator_sum(self):
         h = SharedParameterSum(
             parts=(
-                build_hidden_observable(op(PAULI_Z), UNIFORM),
-                build_hidden_observable(op(PAULI_X), UNIFORM),
+                build_hidden_observable(op(PAULI_Z)),
+                build_hidden_observable(op(PAULI_X)),
             )
         )
         rebuilt = orthodoxy_reconstruct(h)
@@ -485,8 +483,8 @@ class TestOrthodoxy:
     def test_shared_product_is_not_quadratic(self):
         # per-line mean of f_Z * f_X is 1 - 2|p - q|, kinked in the ray
         h = SharedParameterProduct(
-            build_hidden_observable(op(PAULI_Z), UNIFORM),
-            build_hidden_observable(op(PAULI_X), UNIFORM),
+            build_hidden_observable(op(PAULI_Z)),
+            build_hidden_observable(op(PAULI_X)),
         )
         with pytest.raises(NonQuadraticFirstMoment):
             orthodoxy_reconstruct(h)
@@ -494,7 +492,7 @@ class TestOrthodoxy:
     def test_genuine_observable_has_zero_gap(self):
         rng = np.random.default_rng(9)
         T = random_hermitian(rng, 4)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         for _ in range(5):
             psi = random_ray(rng, 4)
             assert orthodoxy_second_moment_gap(f, T, psi) <= 1e-10
@@ -502,8 +500,8 @@ class TestOrthodoxy:
     def test_pauli_sum_gap_vanishes_on_basis_state(self):
         h = SharedParameterSum(
             parts=(
-                build_hidden_observable(op(PAULI_Z), UNIFORM),
-                build_hidden_observable(op(PAULI_X), UNIFORM),
+                build_hidden_observable(op(PAULI_Z)),
+                build_hidden_observable(op(PAULI_X)),
             )
         )
         total = validate_hermitian(PAULI_Z + PAULI_X)
@@ -515,8 +513,8 @@ class TestOrthodoxy:
         # <(Z+X)^2> = <2 I> = 2
         h = SharedParameterSum(
             parts=(
-                build_hidden_observable(op(PAULI_Z), UNIFORM),
-                build_hidden_observable(op(PAULI_X), UNIFORM),
+                build_hidden_observable(op(PAULI_Z)),
+                build_hidden_observable(op(PAULI_X)),
             )
         )
         total = validate_hermitian(PAULI_Z + PAULI_X)
@@ -529,8 +527,8 @@ class TestOrthodoxy:
         # the ray's squares overflowed to inf (gap 2.0) or underflowed to 0 (gap nan) before it was normalized
         h = SharedParameterSum(
             parts=(
-                build_hidden_observable(op(PAULI_Z), UNIFORM),
-                build_hidden_observable(op(PAULI_X), UNIFORM),
+                build_hidden_observable(op(PAULI_Z)),
+                build_hidden_observable(op(PAULI_X)),
             )
         )
         total = validate_hermitian(PAULI_Z + PAULI_X)
@@ -546,8 +544,8 @@ class TestOrthodoxy:
         # independent oracle: with both summands valued in {-1,+1} and
         # breakpoints p, q, the integral of h^2 is 4(1 - |p - q|)
         rng = np.random.default_rng(seed)
-        fZ = build_hidden_observable(op(PAULI_Z), UNIFORM)
-        fX = build_hidden_observable(op(PAULI_X), UNIFORM)
+        fZ = build_hidden_observable(op(PAULI_Z))
+        fX = build_hidden_observable(op(PAULI_X))
         h = SharedParameterSum(parts=(fZ, fX))
         total = validate_hermitian(PAULI_Z + PAULI_X)
         psi = random_ray(rng, 2)
@@ -559,8 +557,8 @@ class TestOrthodoxy:
     def test_shared_sum_riemann_oracle(self):
         h = SharedParameterSum(
             parts=(
-                build_hidden_observable(op(PAULI_Z), UNIFORM),
-                build_hidden_observable(op(PAULI_X), UNIFORM),
+                build_hidden_observable(op(PAULI_Z)),
+                build_hidden_observable(op(PAULI_X)),
             )
         )
         rng = np.random.default_rng(41)
@@ -593,7 +591,7 @@ class TestBatchedSecondMomentGap:
     def test_matches_the_pointwise_law(self, dim, n_parts, diagonal, seed):
         rng = np.random.default_rng(seed)
         operators = [_degenerate_hermitian(rng, dim, diagonal[i]) for i in range(n_parts)]
-        parts = tuple(build_hidden_observable(T, UNIFORM) for T in operators)
+        parts = tuple(build_hidden_observable(T) for T in operators)
         h = SharedParameterSum(parts=parts) if n_parts > 1 else parts[0]
         C = validate_hermitian(sum(T.entries for T in operators))
         rays = np.concatenate([
@@ -614,14 +612,14 @@ class TestBatchedSecondMomentGap:
             assert scalar == pytest.approx(gap, abs=tol)
 
     def test_ray_dimension_must_match(self):
-        f = build_hidden_observable(op(PAULI_Z), UNIFORM)
+        f = build_hidden_observable(op(PAULI_Z))
         with pytest.raises(DimensionMismatch):
             orthodoxy_second_moment_gap(f, op(PAULI_Z), np.ones((4, 3)))
         with pytest.raises(DimensionMismatch):
             orthodoxy_second_moment_gap(f, op(PAULI_Z), state(1, 0, 0))
 
     def test_three_parts_against_the_riemann_oracle(self):
-        parts = tuple(build_hidden_observable(op(P), UNIFORM) for P in (PAULI_Z, PAULI_X, PAULI_Z + PAULI_X))
+        parts = tuple(build_hidden_observable(op(P)) for P in (PAULI_Z, PAULI_X, PAULI_Z + PAULI_X))
         h = SharedParameterSum(parts=parts)
         psi = random_ray(np.random.default_rng(12), 2)
         zero = validate_hermitian(np.zeros((2, 2)))
@@ -676,7 +674,7 @@ class TestBatchedReconstruct:
     )
     def test_matches_the_per_probe_loop(self, dim, n_parts, diagonal, seed):
         rng = np.random.default_rng(seed)
-        parts = tuple(build_hidden_observable(_degenerate_hermitian(rng, dim, diagonal[i]), UNIFORM)
+        parts = tuple(build_hidden_observable(_degenerate_hermitian(rng, dim, diagonal[i]))
                       for i in range(n_parts))
         h = SharedParameterSum(parts=parts) if n_parts > 1 else parts[0]
         expected = _per_probe_reconstruct(h)
@@ -686,7 +684,7 @@ class TestBatchedReconstruct:
 
     @pytest.mark.parametrize("validation_rays", [32, 5, 0])
     def test_rng_state_matches_sequential_random_rays(self, validation_rays):
-        f = build_hidden_observable(random_hermitian(np.random.default_rng(2), 3), UNIFORM)
+        f = build_hidden_observable(random_hermitian(np.random.default_rng(2), 3))
         after = np.random.default_rng(17)
         orthodoxy_reconstruct(f, validation_rays=validation_rays, rng=after)
         expected = np.random.default_rng(17)
@@ -698,7 +696,7 @@ class TestBatchedReconstruct:
         # a first-moment map that is quadratic on every probe (each has at most two nonzero
         # coordinates) but jumps on held-out rays where |psi_0 psi_1 psi_2|^2 passes that of ray 0
         seed, dim = 4, 3
-        f = build_hidden_observable(random_hermitian(np.random.default_rng(8), dim), UNIFORM)
+        f = build_hidden_observable(random_hermitian(np.random.default_rng(8), dim))
         draws = np.random.default_rng(seed)
         triple = [np.prod(np.abs(random_ray(draws, dim).components) ** 2) for _ in range(32)]
         first = next(i for i, t in enumerate(triple) if t > triple[0])
@@ -715,7 +713,7 @@ class TestBatchedReconstruct:
 
     def test_d24_crosses_a_block_boundary(self):
         rng = np.random.default_rng(24)
-        h = SharedParameterSum(parts=tuple(build_hidden_observable(random_hermitian(rng, 24), UNIFORM) for _ in range(2)))
+        h = SharedParameterSum(parts=tuple(build_hidden_observable(random_hermitian(rng, 24)) for _ in range(2)))
         recorder = RecordingMeans(h)
         rebuilt = orthodoxy_reconstruct(recorder).entries
         assert recorder.calls == [WITNESS_BLOCK, 24 * 24 - WITNESS_BLOCK, 32]  # 608 rays
@@ -727,25 +725,25 @@ class TestBatchedReconstruct:
 
 class TestPropositions:
     def test_full_space(self):
-        L = proposition_from_projector(np.eye(2), UNIFORM)
+        L = proposition_from_projector(np.eye(2))
         assert line_mean(L, state(1, 1j)) == 1.0
         assert L.evaluate(HiddenPoint(ray=state(1, 0), u=0.42)) == 1.0
 
     def test_empty_event(self):
-        L = proposition_from_projector(np.zeros((2, 2)), UNIFORM)
+        L = proposition_from_projector(np.zeros((2, 2)))
         assert line_mean(L, state(1, 1)) == 0.0
         assert L.evaluate(HiddenPoint(ray=state(1, 0), u=0.42)) == 0.0
 
     def test_rank_one_half_measure(self):
         # <E>_psi = |<(1,1)/sqrt2, (1,0)>|^2 = 1/2
         E = np.full((2, 2), 0.5)
-        L = proposition_from_projector(E, UNIFORM)
+        L = proposition_from_projector(E)
         assert line_mean(L, state(1, 0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_indicator_values_exactly_binary(self):
         rng = np.random.default_rng(4)
         E = random_projector(rng, 5, 2)
-        L = proposition_from_projector(E, UNIFORM)
+        L = proposition_from_projector(E)
         for _ in range(20):
             point = HiddenPoint(ray=random_ray(rng, 5), u=float(rng.uniform(0.01, 0.99)))
             assert L.evaluate(point) in (0.0, 1.0)
@@ -753,7 +751,7 @@ class TestPropositions:
     def test_measure_equals_expectation(self):
         rng = np.random.default_rng(6)
         E = random_projector(rng, 6, 3)
-        L = proposition_from_projector(E, UNIFORM)
+        L = proposition_from_projector(E)
         for _ in range(10):
             psi = random_ray(rng, 6)
             assert line_mean(L, psi) == pytest.approx(
@@ -764,7 +762,7 @@ class TestPropositions:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         projectors = [np.outer(q[:, i], q[:, i].conj()) for i in range(4)]
-        props = [proposition_from_projector(E, UNIFORM) for E in projectors]
+        props = [proposition_from_projector(E) for E in projectors]
         total = validate_hermitian(np.sum(projectors, axis=0))
         for _ in range(5):
             psi = random_ray(rng, 6)
@@ -784,7 +782,7 @@ class TestPropositions:
         rank = round(rank_fraction * dim)
         E = random_projector(rng, dim, rank) + random_hermitian(rng, dim, scale=10.0**noise_exponent).entries
         try:
-            S = proposition_from_projector(E, UNIFORM).decomposition
+            S = proposition_from_projector(E).decomposition
         except NotAProjector:
             assume(False)
         w = np.linalg.eigh((E + E.conj().T) / 2.0)[0]
@@ -813,7 +811,7 @@ class TestPropositions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error: huge entries must not overflow a norm
             with pytest.raises(NotAProjector):
-                proposition_from_projector(bad, UNIFORM)
+                proposition_from_projector(bad)
 
 
 def weights_from_projectors(projectors, rays):
@@ -843,7 +841,7 @@ class TestLineWeightsFromEigenvectorBlocks:
         spectrum = np.array([-1.0, -1.0 + 1e-13, -1.0, 0.5, 2.0, 2.0, 2.0 + 1e-13, 2.0, 3.0])
         sizes = [3, 1, 4, 1]
         T = validate_hermitian((q * spectrum) @ q.conj().T)
-        S = build_hidden_observable(T, UNIFORM).decomposition
+        S = build_hidden_observable(T).decomposition
         assert len(S.eigenvalues) == len(sizes)
         order = np.argsort(spectrum, kind="stable")
         starts = np.cumsum([0] + sizes[:-1])
@@ -854,7 +852,7 @@ class TestLineWeightsFromEigenvectorBlocks:
     def test_proposition(self, rank):
         rng = np.random.default_rng(40 + rank)
         E = random_projector(rng, 5, rank)
-        S = proposition_from_projector(E, UNIFORM).decomposition
+        S = proposition_from_projector(E).decomposition
         family = [np.eye(5) - E, E]
         projectors = [P for P in family if np.trace(P).real > 0.5]
         self.check(S, projectors, rng)
@@ -866,7 +864,7 @@ class TestExtremeRayMagnitudes:
     @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e-310])
     def test_huge_and_tiny_rays_equal_the_unit_ray(self, magnitude):
         T = op(np.diag([1.0, 2.0]))
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         unit = StateVector(components=np.array([1.0, 1.0]) / math.sqrt(2.0))
         far = state(magnitude, magnitude)
         with warnings.catch_warnings():
@@ -879,7 +877,7 @@ class TestExtremeRayMagnitudes:
     def test_random_ray_at_extreme_magnitude(self, magnitude):
         rng = np.random.default_rng(5)
         T = random_hermitian(rng, 3)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         unit = StateVector(components=random_unit(rng, 3))
         far = StateVector(components=magnitude * unit.components)
         with warnings.catch_warnings():
@@ -893,7 +891,7 @@ class TestExtremeRayMagnitudes:
         rng = np.random.default_rng(6)
         for dim in (1, 2, 3, 5, 8):
             T = random_hermitian(rng, dim)
-            f = build_hidden_observable(T, UNIFORM)
+            f = build_hidden_observable(T)
             for _ in range(50):
                 v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-60, 60)
                 psi = StateVector(components=v)
@@ -906,7 +904,7 @@ class TestExtremeRayMagnitudes:
 class TestStatisticalEquivalence:
     def test_same_observable(self):
         rng = np.random.default_rng(2)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         rays = [random_ray(rng, 4) for _ in range(10)]
         assert statistical_equivalence_check(f, f, rays).passed
 
@@ -914,8 +912,8 @@ class TestStatisticalEquivalence:
         rng = np.random.default_rng(15)
         T = random_hermitian(rng, 3)
         shifted = validate_hermitian(T.entries + np.eye(3))
-        f1 = build_hidden_observable(T, UNIFORM)
-        f2 = build_hidden_observable(shifted, UNIFORM)
+        f1 = build_hidden_observable(T)
+        f2 = build_hidden_observable(shifted)
         rays = [random_ray(rng, 3) for _ in range(5)]
         report = statistical_equivalence_check(f1, f2, rays)
         assert not report.passed
@@ -926,9 +924,9 @@ class TestStatisticalEquivalence:
         # observable built from b applied through the functional calculus
         rng = np.random.default_rng(21)
         T = random_hermitian(rng, 5)
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         b = parse("clamp(-1, 1) * x + ind(0, 2)")
-        g = build_hidden_observable(apply_borel(f.decomposition, b), UNIFORM)
+        g = build_hidden_observable(apply_borel(f.decomposition, b))
         for _ in range(10):
             psi = random_ray(rng, 5)
             values, weights = f.line_distribution(psi)

@@ -24,7 +24,6 @@ from hobs import (
     DimensionMismatch,
     Ensemble,
     EvaluationError,
-    GammaModel,
     HiddenMixedState,
     SampleStream,
     StateVector,
@@ -45,11 +44,9 @@ from hobs import (
 from hobs.kernel import _bulk_line_weights, _cumulative
 from hobs.mixed import SAMPLE_WORDS, _block_arrays, _block_values, _components, _draw_block, _sampling_tables
 
-UNIFORM = GammaModel.uniform()
-
 
 def mixed(D: DensityMatrix) -> HiddenMixedState:
-    return HiddenMixedState(ensemble=ensemble_from_density(D), gamma=UNIFORM)
+    return HiddenMixedState(ensemble=ensemble_from_density(D))
 
 
 class TestEnsemble:
@@ -88,8 +85,8 @@ class TestEnsemble:
 
     def test_huge_ray_means(self):
         # the unscaled norm overflowed to inf and the ray became 0: exact mean 0.0, Monte Carlo 1.0
-        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
-        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1e200, 1e200]]), gamma=UNIFORM)
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])))
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1e200, 1e200]]))
         assert exact_classical_mean(f, parse("x"), mu) == pytest.approx(0.5, rel=1e-15)
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=3), 100000)
         assert abs(est.mean - 0.5) <= 4.0 * est.std_error
@@ -147,17 +144,17 @@ class TestDensityCorrespondence:
 class TestExactClassicalMean:
     def test_identity_observable(self):
         rng = np.random.default_rng(0)
-        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(3)))
         mu = mixed(random_density(rng, 3))
         assert exact_classical_mean(f, parse("x"), mu) == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_sign_spectrum(self):
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
         mu = mixed(DensityMatrix(entries=np.eye(2) / 2))
         assert exact_classical_mean(f, parse("x"), mu) == pytest.approx(0.0, abs=1e-15)
 
     def test_square_of_involution(self):
-        f = build_hidden_observable(op([[0.0, 1.0], [1.0, 0.0]]), UNIFORM)
+        f = build_hidden_observable(op([[0.0, 1.0], [1.0, 0.0]]))
         mu = mixed(DensityMatrix(entries=np.diag([0.3, 0.7])))
         assert exact_classical_mean(f, parse("x^2"), mu) == pytest.approx(1.0, abs=1e-12)
 
@@ -168,7 +165,7 @@ class TestExactClassicalMean:
         T = random_hermitian(rng, dim)
         D = random_density(rng, dim)
         b = parse(random_expression_text(rng, depth=3))
-        f = build_hidden_observable(T, UNIFORM)
+        f = build_hidden_observable(T)
         mu = mixed(D)
         trace_value = trace_expectation(apply_borel(f.decomposition, b), D)
         mean = exact_classical_mean(f, b, mu)
@@ -185,13 +182,13 @@ class TestExactClassicalMean:
         for _ in range(10):
             T = random_hermitian(rng, 2)
             b = parse(random_expression_text(rng, depth=2))
-            f = build_hidden_observable(T, UNIFORM)
-            m1 = exact_classical_mean(f, b, HiddenMixedState(ensemble=eigen, gamma=UNIFORM))
-            m2 = exact_classical_mean(f, b, HiddenMixedState(ensemble=rotated, gamma=UNIFORM))
+            f = build_hidden_observable(T)
+            m1 = exact_classical_mean(f, b, HiddenMixedState(ensemble=eigen))
+            m2 = exact_classical_mean(f, b, HiddenMixedState(ensemble=rotated))
             assert m1 == pytest.approx(m2, abs=1e-10)
 
     def test_dimension_mismatch(self):
-        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(3)))
         with pytest.raises(DimensionMismatch):
             exact_classical_mean(f, parse("x"), mixed(DensityMatrix(entries=np.eye(2) / 2)))
 
@@ -201,7 +198,7 @@ class TestExactClassicalMean:
             dim = int(rng.integers(2, 7))
             E = random_projector(rng, dim, int(rng.integers(1, dim)))
             D = random_density(rng, dim)
-            L = proposition_from_projector(E, UNIFORM)
+            L = proposition_from_projector(E)
             mu = mixed(D)
             expected = float(np.trace(E @ D.entries).real)
             assert hidden_state_measure(L, mu) == pytest.approx(expected, abs=1e-10)
@@ -255,7 +252,7 @@ class TestSampleStream:
 
 class TestSampleHidden:
     def test_single_component_stays_on_ray(self):
-        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1j]]), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1j]]))
         points = sample_hidden(mu, SampleStream(seed=3), 100)
         ref = points[0].ray.components
         for p in points:
@@ -270,20 +267,20 @@ class TestSampleHidden:
 
     def test_u_is_word_1(self):
         # sample i reads words 2i and 2i + 1: the component word, then u's word, which is u bit for bit
-        mu = HiddenMixedState(ensemble=Ensemble(weights=[0.5, 0.5], rays=np.eye(2)), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[0.5, 0.5], rays=np.eye(2)))
         stream = SampleStream(seed=17)
         words = fresh_words(stream, 300, 5000)
-        _, u = _draw_block(mu, _components(mu), stream, 300, 5000)
+        _, u = _draw_block(_components(mu), stream, 300, 5000)
         assert np.all(words[:, 1] > 0.0)
         assert np.array_equal(u, words[:, 1])
 
     def test_component_is_searched_in_word_0(self):
         # word 0 of a sample picks its component: the count of cumulative weights at or below it, clipped to K - 1
         weights = np.array([0.125, 0.5, 0.25, 0.125])
-        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(4)), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(4)))
         stream = SampleStream(seed=29)
         words = fresh_words(stream, 100, 5000)
-        k, _ = _draw_block(mu, _components(mu), stream, 100, 5000)
+        k, _ = _draw_block(_components(mu), stream, 100, 5000)
         expected = np.minimum(np.searchsorted(np.cumsum(weights), words[:, 0], side="right"), 3)
         assert np.array_equal(k, expected)
         assert set(k.tolist()) == {0, 1, 2, 3}
@@ -291,10 +288,10 @@ class TestSampleHidden:
     def test_component_counts_within_binomial_bound(self):
         n = 100000
         mu = HiddenMixedState(
-            ensemble=Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [0, 1]]), gamma=UNIFORM
+            ensemble=Ensemble(weights=[0.5, 0.5], rays=[[1, 0], [0, 1]])
         )
         stream = SampleStream(seed=2024)
-        k, _ = _draw_block(mu, _components(mu), stream, 0, n)
+        k, _ = _draw_block(_components(mu), stream, 0, n)
         count = int(np.sum(k == 0))
         assert abs(count - n / 2) <= 4.0 * np.sqrt(n * 0.25)
 
@@ -306,7 +303,7 @@ class TestSampleHidden:
 
 class TestMcEstimate:
     def test_constant_integrand_exact(self):
-        f = build_hidden_observable(op(np.eye(2)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(2)))
         mu = mixed(DensityMatrix(entries=np.eye(2) / 2))
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 10000)
         assert est.mean == 1.0
@@ -316,7 +313,7 @@ class TestMcEstimate:
         # constant ASTs carry no variable node; the vectorized path must
         # still produce one value per sample
         rng = np.random.default_rng(63)
-        f = build_hidden_observable(random_hermitian(rng, 5), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 5))
         mu = mixed(random_density(rng, 5))
         est = mc_estimate(f, parse("2.5"), mu, SampleStream(seed=1), 10000)
         assert est.mean == 2.5
@@ -324,15 +321,15 @@ class TestMcEstimate:
 
     def test_zero_mean_unit_variance_bound(self):
         n = 1_000_000
-        f = build_hidden_observable(op(np.diag([-1.0, 1.0])), UNIFORM)
-        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1]]), gamma=UNIFORM)
+        f = build_hidden_observable(op(np.diag([-1.0, 1.0])))
+        mu = HiddenMixedState(ensemble=Ensemble(weights=[1.0], rays=[[1, 1]]))
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=7), n)
         assert abs(est.mean) <= 4.0 / np.sqrt(n)
         assert est.std_error == pytest.approx(1.0 / np.sqrt(n), rel=1e-2)
 
     def test_worker_counts_agree_bitwise(self):
         rng = np.random.default_rng(31)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         mu = mixed(random_density(rng, 4))
         b = parse("x^2 - x")
         serial = mc_estimate(f, b, mu, SampleStream(seed=5), 300000, workers=1)
@@ -343,7 +340,7 @@ class TestMcEstimate:
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
     def test_consistent_with_exact_mean(self, seed):
         rng = np.random.default_rng(seed)
-        f = build_hidden_observable(random_hermitian(rng, 3), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 3))
         mu = mixed(random_density(rng, 3))
         b = parse("x + x^2")
         exact = exact_classical_mean(f, b, mu)
@@ -354,7 +351,7 @@ class TestMcEstimate:
     def test_variance_survives_large_offset(self):
         # values 1e8..1e8+3 with equal weight: s2 - n*mean^2 cancels to 0 here
         n = 1_000_000
-        f = build_hidden_observable(op(np.diag(1e8 + np.arange(4.0))), UNIFORM)
+        f = build_hidden_observable(op(np.diag(1e8 + np.arange(4.0))))
         mu = mixed(DensityMatrix(entries=np.eye(4) / 4))
         est = mc_estimate(f, parse("x"), mu, SampleStream(seed=1), n)
         assert est.std_error == pytest.approx(np.sqrt(1.25 / n), rel=1e-2)
@@ -362,7 +359,7 @@ class TestMcEstimate:
 
     def test_unsampled_piece_with_huge_value(self):
         # piece 1 has line weight 0; a zero count times its overflowed squared offset would make M2 NaN
-        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])))
         mu = mixed(DensityMatrix(entries=np.diag([1.0, 0.0])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
@@ -370,7 +367,7 @@ class TestMcEstimate:
         assert (est.mean, est.std_error) == (0.0, 0.0)
 
     def test_b_is_evaluated_only_at_sampled_pieces(self):
-        f = build_hidden_observable(op(np.diag([0.0, 1.0])), UNIFORM)
+        f = build_hidden_observable(op(np.diag([0.0, 1.0])))
         b = lambda x: np.where(x > 0, 1.0, np.inf)  # noqa: E731
         on_one = mixed(DensityMatrix(entries=np.diag([0.0, 1.0])))
         est = mc_estimate(f, b, on_one, SampleStream(seed=0), 10000)
@@ -380,14 +377,14 @@ class TestMcEstimate:
             mc_estimate(f, b, on_zero, SampleStream(seed=0), 10000)
 
     def test_requires_two_samples(self):
-        f = build_hidden_observable(op(np.eye(2)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(2)))
         mu = mixed(DensityMatrix(entries=np.eye(2) / 2))
         with pytest.raises(ValueError):
             mc_estimate(f, parse("x"), mu, SampleStream(seed=0), 1)
 
     def test_equal_at_any_block_size_and_worker_count(self):
         rng = np.random.default_rng(24)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         mu = mixed(random_density(rng, 4))
         n = 200_003
         estimates = {
@@ -447,7 +444,7 @@ def block_piece_counts(f, mu, stream, n):
     """Per-piece counts of n samples, the bincount of the pieces _block_values gives each block."""
     counts, tables = np.zeros(f.values.size, dtype=np.int64), _sampling_tables(f, mu)
     for start, count in stream.blocks(n):
-        pieces = _block_values(tables, mu, stream, start, count, _block_arrays(count))[2]
+        pieces = _block_values(tables, stream, start, count, _block_arrays(count))[2]
         counts += np.bincount(pieces, minlength=f.values.size)
     return counts
 
@@ -457,7 +454,7 @@ class TestCountReduction:
     def test_estimate_is_the_count_formula_for_any_partition(self, seed):
         rng = np.random.default_rng([93, seed])
         dim = int(rng.integers(2, 7))
-        f = build_hidden_observable(random_hermitian(rng, dim), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, dim))
         mu = mixed(random_density(rng, dim))
         b = parse(random_expression_text(rng, depth=3))
         n = 150_001  # a multiple of neither block size
@@ -481,7 +478,7 @@ class TestStreamFit:
     def test_piece_counts_and_u_column_fit_their_laws(self):
         from scipy import stats
         rng = np.random.default_rng(4)
-        f = build_hidden_observable(random_hermitian(rng, 4), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 4))
         mu = mixed(random_density(rng, 4))
         n = 1_000_000
         buf = io.StringIO()
@@ -498,13 +495,13 @@ class TestStreamFit:
 class TestBlockValues:
     def test_matches_values_on_line_per_component(self):
         rng = np.random.default_rng(32)
-        f = build_hidden_observable(random_hermitian(rng, 32), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 32))
         mu = mixed(random_density(rng, 32))
         assert mu.ensemble.size == 32
         # the smallest component weight is 5.7e-5: 400,000 draws expect about 23 of it, and miss it with
         # probability about 1e-10 under any stream
         n = 400000
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=3), 0, n, _block_arrays(n))
+        k, u, pieces = _block_values(_sampling_tables(f, mu), SampleStream(seed=3), 0, n, _block_arrays(n))
         values = f.values[pieces]
         assert set(np.unique(k)) == set(range(32))
         for comp, row in enumerate(mu.ensemble.rays):
@@ -514,7 +511,7 @@ class TestBlockValues:
 
 def masked_block_values(f, mu, stream, start, count):
     """The per-component reference: mask each component's samples and searchsorted its cumulative weights."""
-    k, u = _draw_block(mu, _components(mu), stream, start, count)
+    k, u = _draw_block(_components(mu), stream, start, count)
     weights = _bulk_line_weights(f.decomposition, mu.ensemble.rays)
     values = np.empty(count, dtype=float)
     for comp in range(mu.ensemble.size):
@@ -539,16 +536,16 @@ class TestBlockSearch:
         else:  # one component
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             D = DensityMatrix(entries=np.outer(v, v.conj()) / np.vdot(v, v).real)
-        f, mu, stream = build_hidden_observable(T, UNIFORM), mixed(D), SampleStream(seed=dim)
+        f, mu, stream = build_hidden_observable(T), mixed(D), SampleStream(seed=dim)
         assert mu.ensemble.size == {"full-rank": dim, "basis-rays": dim, "pure": 1}[case]
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, stream, 100, 5000, _block_arrays(5000))
-        assert np.array_equal(k, _draw_block(mu, _components(mu), stream, 100, 5000)[0])
+        k, u, pieces = _block_values(_sampling_tables(f, mu), stream, 100, 5000, _block_arrays(5000))
+        assert np.array_equal(k, _draw_block(_components(mu), stream, 100, 5000)[0])
         assert np.array_equal(f.values[pieces], masked_block_values(f, mu, stream, 100, 5000))
 
     @pytest.mark.parametrize("weights", [[0.25, 0.25, 0.5], [0.1, 0.2, 0.3, 0.4], [1.0]])
     def test_component_draw_is_clipped_right_searchsorted(self, weights):
         size = len(weights)
-        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(size)), gamma=UNIFORM)
+        mu = HiddenMixedState(ensemble=Ensemble(weights=weights, rays=np.eye(size)))
         cumulative = np.minimum(np.cumsum(mu.ensemble.weights), 1.0)
         pinned = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cumulative, np.nextafter(cumulative, 0.0)))
 
@@ -561,19 +558,19 @@ class TestBlockSearch:
         stream = PinnedStream(seed=11)
         first = fresh_words(stream, 0, 1000)[:, 0]
         expected = np.minimum(np.searchsorted(cumulative, first, "right"), size - 1)
-        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000)
+        k, _ = _draw_block(_components(mu), stream, 0, 1000)
         assert np.array_equal(k, expected)
         # a worker's generator, moved on by an earlier block, and its arrays, holding that block's values
         rng, arrays = stream.generator(), _block_arrays(1000)
-        _draw_block(mu, _components(mu), stream, 5000, 1000, arrays, rng)
-        k, _ = _draw_block(mu, _components(mu), stream, 0, 1000, arrays, rng)
+        _draw_block(_components(mu), stream, 5000, 1000, arrays, rng)
+        k, _ = _draw_block(_components(mu), stream, 0, 1000, arrays, rng)
         assert np.array_equal(k, expected)
 
 
 class TestCsvDump:
     def make(self):
         rng = np.random.default_rng(8)
-        f = build_hidden_observable(random_hermitian(rng, 3), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 3))
         mu = mixed(random_density(rng, 3))
         return f, mu
 
@@ -607,10 +604,10 @@ class TestCsvDump:
     def test_rows_match_per_row_formatting(self):
         # four d=8 blocks, against the row-at-a-time f-string formatting of one draw of the whole range
         rng = np.random.default_rng(65)
-        f = build_hidden_observable(random_hermitian(rng, 8), UNIFORM)
+        f = build_hidden_observable(random_hermitian(rng, 8))
         mu = mixed(random_density(rng, 8))
         n = 65536
-        k, u, pieces = _block_values(_sampling_tables(f, mu), mu, SampleStream(seed=7), 0, n, _block_arrays(n))
+        k, u, pieces = _block_values(_sampling_tables(f, mu), SampleStream(seed=7), 0, n, _block_arrays(n))
         expected = "component_index,u,value\n" + "".join(
             f"{ki},{ui:.17g},{vi:.17g}\n" for ki, ui, vi in zip(k, u, f.values[pieces])
         )
@@ -623,8 +620,8 @@ class TestCsvDump:
         f, mu = self.make()
         stream, buf, drawn = SampleStream(seed=5, block_size=100), io.StringIO(), {}
 
-        def recording(*args):  # args[3] is the block's first sample
-            drawn[args[3] // stream.block_size] = max(buf.getvalue().count("\n") - 1, 0)
+        def recording(*args):  # args[2] is the block's first sample
+            drawn[args[2] // stream.block_size] = max(buf.getvalue().count("\n") - 1, 0)
             return _block_values(*args)
 
         monkeypatch.setattr("hobs.mixed._block_values", recording)
@@ -634,7 +631,7 @@ class TestCsvDump:
             assert rows >= (j - workers + 1) * stream.block_size, (j, rows)
 
     def test_dimension_mismatch_raises_before_the_header(self):
-        f = build_hidden_observable(op(np.eye(3)), UNIFORM)
+        f = build_hidden_observable(op(np.eye(3)))
         buf = io.StringIO()
         with pytest.raises(DimensionMismatch):
             dump_samples_csv(f, mixed(DensityMatrix(entries=np.eye(2) / 2)), SampleStream(seed=1), 10, buf)
