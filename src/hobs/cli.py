@@ -206,7 +206,7 @@ def _numeric_guard(fn):
         raise _InputError(f"bad expression: {exc}") from exc
     except NonFiniteInput as exc:
         raise _InputError(str(exc)) from exc
-    except (HobsError, np.linalg.LinAlgError) as exc:  # any other failure inside a run, once its inputs were accepted
+    except (HobsError, np.linalg.LinAlgError, MemoryError) as exc:  # any other failure once the inputs were accepted
         click.echo(f"internal numeric failure: {exc}", err=True)
         sys.exit(3)
 

@@ -55,6 +55,7 @@ PROJECTOR_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 RECONSTRUCT_TOL = 1e-8  # held-out first moments may deviate from the candidate's by this times max(1, ||T||_2)
 WITNESS_BLOCK = 512  # rays weighed per call; bounds a block's memory
+SAMPLE_BLOCK = 16384  # hidden parameters drawn per block by a sampler; bounds a block's memory
 KS_SIGNIFICANCE = 1e-3  # pushforward_ks's level alpha
 
 
@@ -588,17 +589,15 @@ def spectral_support_check(
     samples_per_ray: int,
     rng: np.random.Generator,
 ) -> SupportReport:
-    """Sampled evaluations must land exactly in the value table."""
+    """Sampled evaluations must land exactly in the value table; each ray's u are drawn SAMPLE_BLOCK at a time."""
     lams = f.values
     outside = 0
-    total = 0
     for _ in range(n_rays):
-        psi = random_ray(rng, f.dim)
-        u = draw_u(rng, samples_per_ray)
-        vals = f.values_on_line(psi, u)
-        outside += int(np.sum(~np.isin(vals, lams)))
-        total += samples_per_ray
-    return SupportReport(n_evaluations=total, n_outside=outside, passed=outside == 0)
+        cumulative = _cumulative(line_weights(f.decomposition, random_ray(rng, f.dim)))
+        for start in range(0, samples_per_ray, SAMPLE_BLOCK):
+            vals = lams[_piece_index(cumulative, draw_u(rng, min(SAMPLE_BLOCK, samples_per_ray - start)))]
+            outside += int(np.sum(~np.isin(vals, lams)))
+    return SupportReport(n_evaluations=n_rays * samples_per_ray, n_outside=outside, passed=outside == 0)
 
 
 @dataclass(frozen=True)

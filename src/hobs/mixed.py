@@ -21,6 +21,7 @@ results for any worker count and block size.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ import numpy as np
 from numpy.random import PCG64DXSM, Generator
 
 from .kernel import (
+    SAMPLE_BLOCK,
     GammaModel,
     HiddenObservable,
     HiddenPoint,
@@ -148,7 +150,7 @@ class SampleStream:
     """
 
     seed: int
-    block_size: int = 16384
+    block_size: int = SAMPLE_BLOCK
 
     def generator(self) -> Generator:
         """A generator of this stream, for every raw_words call of one thread."""
@@ -243,7 +245,9 @@ def _sample_blocks(f: HiddenObservable, mu: HiddenMixedState, stream: SampleStre
 
 
 def _threaded_blocks(fn, blocks, workers: int):
-    """Yield fn of each block in order; the next block is submitted when the consumer takes the oldest result."""
+    """Yield fn of each block in order on at most the CPU count of threads, with as many blocks pending; the next
+    block is submitted when the consumer takes the oldest result."""
+    workers = min(workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(fn, block) for block in islice(blocks, workers))
         while pending:

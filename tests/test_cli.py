@@ -345,6 +345,26 @@ class TestSupport:
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["eigenvalues"] == eigenvalues
 
+    def test_peak_rss_does_not_grow_with_samples(self, tmp_path):
+        # one ray's u were drawn in one array of two words a sample: 64 MB at 10^6 samples, 134 MB at 4*10^6.
+        # Each run has its own wrapper process, whose RUSAGE_CHILDREN is then that run's peak alone.
+        t = write_matrix(tmp_path / "T.json", PAULI_X)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-W', 'error', '-m', 'hobs', 'support', sys.argv[1],"
+            " '--samples', sys.argv[2], '--rays', '1'], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+
+        def peak_kb(samples):
+            proc = subprocess.run([sys.executable, "-c", wrapper, t, str(samples)], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            return int(proc.stdout)
+
+        small, large = peak_kb(10**6), peak_kb(4 * 10**6)
+        assert large * 10 <= small * 11, (small, large)
+
     def test_inputs_digest_unchanged(self, runner, files):
         result = runner.invoke(cli, ["support", files["signs"], "--samples", "200", "--rays", "10"])
         digest = report_of(result)["inputs_digest"]
@@ -1129,6 +1149,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             _numeric_guard(boom)
         assert err.value.code == 3
+
+    def test_memory_exhaustion_is_exit_three(self, runner, files, monkeypatch):
+        # numpy's _ArrayMemoryError is a MemoryError: one line and exit 3, not a traceback and exit 1
+        message = "Unable to allocate 142. PiB for an array with shape (10000000000000000, 2) and data type float64"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("hobs.cli.spectral_support_check", exhausted)
+        result = runner.invoke(cli, ["support", files["identity"], "--samples", "10", "--rays", "2"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"internal numeric failure: {message}"]
 
     @pytest.mark.parametrize("error, code", [
         (EvaluationError("log of 0"), 2),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -24,6 +25,7 @@ from hobs import (
     DimensionMismatch,
     Ensemble,
     EvaluationError,
+    GammaModel,
     HiddenMixedState,
     SampleStream,
     StateVector,
@@ -395,6 +397,44 @@ class TestMcEstimate:
         }
         assert len(set(estimates.values())) == 1, estimates
 
+    def test_pool_starts_at_most_the_cpu_count_of_threads(self, monkeypatch):
+        # --workers has no upper bound; a synchronous stand-in pool records the threads asked for, and how many
+        # blocks were submitted when the first result was taken
+        threads, submitted, pending_at_first_take = [], [], []
+
+        class SynchronousPool:
+            def __init__(self, max_workers):
+                threads.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, block):
+                submitted.append(block)
+                value = fn(block)
+
+                class Done:
+                    def result(self):
+                        pending_at_first_take.append(len(submitted))
+                        return value
+
+                return Done()
+
+        rng = np.random.default_rng(16)
+        f = build_hidden_observable(random_hermitian(rng, 4))
+        mu = mixed(random_density(rng, 4))
+        stream = SampleStream(seed=3, block_size=1000)
+        serial = mc_estimate(f, parse("x^2 + x"), mu, stream, 10_000, workers=1)
+        monkeypatch.setattr("hobs.mixed.ThreadPoolExecutor", SynchronousPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert mc_estimate(f, parse("x^2 + x"), mu, stream, 10_000, workers=10**6) == serial
+        assert threads == [2]
+        assert pending_at_first_take[0] == 2
+        assert len(submitted) == 10
+
 
 # warms up with three 10^6-sample estimates at d = 4, then prints the minor page faults of ten more and of ten
 # one-block estimates between them: a call makes and drops its block arrays whatever its size, so the difference
@@ -645,3 +685,36 @@ class TestCsvDump:
         u_text = first.split(",")[1]
         assert float(u_text) == float(f"{float(u_text):.17g}")
         assert len(u_text.replace(".", "").lstrip("0")) >= 15
+
+
+def _arrays_of(obj, prefix=""):
+    """Every value a dataclass holds, by field path, through the dataclasses it holds."""
+    out = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_arrays_of(value, f"{prefix}{field.name}."))
+        else:
+            out[prefix + field.name] = value
+    return out
+
+
+class TestStageTimerGamma:
+    # perfbench/stages.py still passes a GammaModel to build_hidden_observable and HiddenMixedState, and nothing
+    # reads it; ROADMAP item 9 deletes both carriers and these uses together
+    def test_gamma_changes_no_observable_and_no_mean(self):
+        rng = np.random.default_rng(31)
+        T, ensemble = random_hermitian(rng, 6), ensemble_from_density(random_density(rng, 6))
+        f, f_gamma = build_hidden_observable(T), build_hidden_observable(T, GammaModel.uniform())
+        fields, fields_gamma = _arrays_of(f), _arrays_of(f_gamma)
+        assert fields.keys() == fields_gamma.keys()
+        assert {"operator.entries", "decomposition.vectors", "values"} <= fields.keys()
+        for name, value in fields.items():
+            assert np.array_equal(value, fields_gamma[name]), name
+        b = parse("x^2 + x")
+        mu = HiddenMixedState(ensemble=ensemble)
+        mu_gamma = HiddenMixedState(ensemble=ensemble, gamma=GammaModel.uniform())
+        assert exact_classical_mean(f, b, mu).hex() == exact_classical_mean(f_gamma, b, mu_gamma).hex()
+        estimates = [mc_estimate(g, b, m, SampleStream(seed=8), 100_000) for g, m in ((f, mu), (f_gamma, mu_gamma))]
+        bits = [(e.mean.hex(), e.std_error.hex()) for e in estimates]
+        assert bits[0] == bits[1]
