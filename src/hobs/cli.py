@@ -284,11 +284,8 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
             z = mc_gap / estimate.std_error
         else:
             z = 0.0 if mc_gap <= tolerance else math.inf
-        # exact_gap is held to tol * max(1, max_i |b(lambda_i)|), the scale of the
-        # compared sums; b is evaluated once more only when it exceeds tol itself
-        exact_ok = exact_gap <= tolerance or exact_gap <= tolerance * float(
-            np.max(np.abs(function_values(b, f.values)))
-        )
+        # exact_gap is held to tol * max(1, max_i |b(lambda_i)|), the scale of the compared sums
+        exact_ok = exact_gap <= tolerance * spectral._floor(float(np.max(np.abs(function_values(b, f.values)))))
         passed = exact_ok and z <= 4.0
         results = {
             "dimension": T.dim,
@@ -310,7 +307,7 @@ def cmd_verify_trace(t_file, d_file, b_expr, samples, workers, seed, tolerance, 
 
 @cli.command("support")
 @click.argument("t_file", type=click.Path(exists=True))
-@click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True, help="Total sampled evaluations.")
+@click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True, help="Sampled evaluations; each ray takes max(1, samples // rays), so the report's n_evaluations can exceed this.")
 @click.option("--rays", type=click.IntRange(min=1), default=100, show_default=True, help="Random rays to spread samples over.")
 @_out_option
 def cmd_support(t_file, samples, rays, output_path):

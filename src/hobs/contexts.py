@@ -56,9 +56,10 @@ from .spectral import (
     _check_dims,
     _cluster_means,
     _cluster_offsets,
+    _floor,
     _relative_error,
+    _skew_part,
     commutes,
-    validate_hermitian,
 )
 
 OPERATOR_SIDE_TOL = 1e-8
@@ -126,8 +127,7 @@ def joint_diagonalize(family: Sequence[HermitianOperator]) -> Context:
         scaled = s * op.entries
         a = scaled - np.trace(scaled).real / dim * np.eye(dim)
         # the shift-invariant rule, floored at the rounding residue that validate_hermitian tolerates
-        floor = HERMITICITY_RTOL * float(np.linalg.norm(scaled))
-        gap_tol = max(EIGENVALUE_MERGE_RTOL * max(s, float(np.linalg.norm(a))), floor)
+        gap_tol = max(EIGENVALUE_MERGE_RTOL * _floor(float(np.linalg.norm(a)), s), HERMITICITY_RTOL * float(np.linalg.norm(scaled)))
         starts = []
         for start, stop in zip(offsets, np.append(offsets[1:], dim)):
             if stop - start > 1:
@@ -187,7 +187,7 @@ def context_combine(
                 entries = entries @ (c * member.operator.entries)
     if not (np.all(np.isfinite(table)) and np.all(np.isfinite(entries))):
         raise NonFiniteInput(f"the {op} combination of this family is not representable in double precision")
-    operator = validate_hermitian(entries)
+    operator = HermitianOperator(entries=entries - _skew_part(entries))  # commutes bounded a product's skew part
     return replace(ctx.f0, operator=operator, values=table), operator
 
 

@@ -30,11 +30,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    HobsError,
     NonQuadraticFirstMoment,
     NotAProjector,
     ZeroInput,
 )
 from .spectral import (
+    EIGENVALUE_MERGE_RTOL,
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
@@ -42,11 +44,13 @@ from .spectral import (
     _check_dims,
     _cluster_means,
     _cluster_offsets,
+    _floor,
     _readonly,
     _relative_error,
     expectation,
     function_values,
     spectral_decompose,
+    validate_hermitian,
 )
 
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive double; open-interval remap
@@ -375,7 +379,7 @@ def moments_check(f: HiddenObservable, psi: StateVector, n_max: int, tol: float)
         lhs.append(left)
         rhs.append(right)
         errs.append(abs(left - right))
-        scales.append(max(1.0, norm**n))
+        scales.append(_floor(norm**n))
         power = power @ f.operator.entries
     passed = all(e <= tol * s for e, s in zip(errs, scales))
     return MomentReport(
@@ -424,7 +428,7 @@ def orthodoxy_reconstruct(
     T = np.diag(diag).astype(complex)
     T[j, k] = (real_probe / 2.0 - half) + 1.0j * (half - imag_probe / 2.0)
     T[k, j] = T[j, k].conj()
-    scale = max(1.0, float(np.linalg.norm(T, 2)))
+    scale = _floor(float(np.linalg.norm(T, 2)))
     rays = _random_rows(rng, validation_rays, dim)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     gaps = np.abs(means(lambda a, b: rays[a:b], validation_rays) - np.sum((rays.conj() * (rays @ T.T)).real, axis=-1))
@@ -486,18 +490,13 @@ def proposition_from_projector(E) -> HiddenObservable:
     eigenvectors of E split at 1/2 into bases of its kernel and range, so
     the indicator takes exactly those values.
     """
-    E = np.array(E, dtype=complex)
-    if not np.all(np.isfinite(E)):
-        raise NotAProjector("matrix has a NaN or infinite entry")
-    if E.ndim != 2 or E.shape[0] != E.shape[1]:
-        raise NotAProjector(f"expected a square matrix, got shape {E.shape}")
-    if _relative_error(E.conj().T, E) > PROJECTOR_TOL:
-        raise NotAProjector("matrix is not Hermitian within tolerance")
-    # a Hermitian E with an entry part of modulus >= 2 has an eigenvalue L with |L| >= 2, so ||E @ E - E|| >= L^2/2
-    # fails the idempotency test by far: it is rejected before E + E^H or E @ E could overflow
+    try:
+        E = validate_hermitian(E).entries  # finite, square and Hermitian by the one hermiticity rule, and symmetrized
+    except HobsError as exc:
+        raise NotAProjector(str(exc)) from exc
+    # an entry part of modulus >= 2 means an eigenvalue |L| >= 2 and ||E @ E - E|| >= L^2/2: rejected before E @ E overflows
     if np.max(np.abs(E.view(float))) >= 2.0:
         raise NotAProjector("matrix is not idempotent within tolerance")
-    E = (E + E.conj().T) / 2.0
     if _relative_error(E @ E, E) > PROJECTOR_TOL:
         raise NotAProjector("matrix is not idempotent within tolerance")
     w, vectors = np.linalg.eigh(E)
@@ -539,7 +538,7 @@ def statistical_equivalence_check(
     """Compare per-line value distributions of two hidden observables.
 
     Passes when, on every probe ray, the two (value, weight) lists have
-    matching supports (within 1e-9 * max(1, largest |value| on the ray)
+    matching supports (within EIGENVALUE_MERGE_RTOL * max(1, largest |value| on the ray)
     after dropping weights below weight_tol) and weights equal within
     weight_tol.
     """
@@ -549,7 +548,7 @@ def statistical_equivalence_check(
     for idx, psi in enumerate(rays):
         (v1, w1), (v2, w2) = f1.line_distribution(psi), f2.line_distribution(psi)
         top = max(np.max(np.abs(v1), initial=0.0), np.max(np.abs(v2), initial=0.0))
-        vtol = 1e-9 * max(1.0, top)
+        vtol = EIGENVALUE_MERGE_RTOL * _floor(top)
         (v1, w1), (v2, w2) = _pooled_law(v1, w1, vtol), _pooled_law(v2, w2, vtol)
         keep1, keep2 = w1 > weight_tol, w2 > weight_tol
         v1, w1, v2, w2 = v1[keep1], w1[keep1], v2[keep2], w2[keep2]

@@ -165,10 +165,19 @@ def _binary_scale(m: np.ndarray, axis=None):
     return float(scale) if axis is None else scale
 
 
+def _floor(scale: float, unit: float = 1.0) -> float:
+    """max(unit, scale), the floor of every relative tolerance; for a power of two s, _floor(s * x, s) == s * _floor(x)."""
+    return max(unit, scale)
+
+
 def _relative_error(rebuilt: np.ndarray, op: np.ndarray) -> float:
     """||rebuilt - op||_F / max(1, ||op||_F), from copies binary-scaled so that neither norm overflows."""
     s = _binary_scale(op)
-    return float(np.linalg.norm(s * (rebuilt - op))) / max(s, float(np.linalg.norm(s * op)))
+    return float(np.linalg.norm(s * (rebuilt - op))) / _floor(float(np.linalg.norm(s * op)), s)
+
+
+def _skew_part(m: np.ndarray) -> np.ndarray:  # halving first cannot overflow, and is exact above the subnormals
+    return m / 2.0 - m.conj().T / 2.0
 
 
 def validate_hermitian(raw) -> HermitianOperator:
@@ -179,10 +188,10 @@ def validate_hermitian(raw) -> HermitianOperator:
     input is rejected instead.
     """
     m = _as_complex_matrix(raw)
-    skew = m / 2.0 - m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
+    skew = _skew_part(m)
     scale = _binary_scale(m)
     correction = float(np.linalg.norm(scale * skew)) / scale
-    if correction * scale > HERMITICITY_RTOL * max(scale, float(np.linalg.norm(scale * m))):
+    if correction * scale > HERMITICITY_RTOL * _floor(float(np.linalg.norm(scale * m)), scale):
         raise HermiticityViolation(
             f"matrix is not Hermitian within tolerance (skew Frobenius norm {correction:.3e})"
         )
@@ -200,7 +209,7 @@ def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
         w, v = np.linalg.eigh(T.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * max(1.0, float(np.max(np.abs(w), initial=0.0))))
+    offsets = _cluster_offsets(w, EIGENVALUE_MERGE_RTOL * _floor(float(np.max(np.abs(w), initial=0.0))))
     return SpectralDecomposition(eigenvalues=_cluster_means(w, offsets)[0], vectors=v, offsets=offsets)
 
 
@@ -270,5 +279,5 @@ def commutes(A: HermitianOperator, B: HermitianOperator) -> bool:
     """||[A,B]|| <= rtol * max(1, ||A||) * max(1, ||B||), tested on binary-scaled copies."""
     sa, sb = _binary_scale(A.entries), _binary_scale(B.entries)
     a, b = HermitianOperator(entries=sa * A.entries), HermitianOperator(entries=sb * B.entries)
-    threshold = COMMUTATOR_RTOL * max(sa, float(np.linalg.norm(a.entries))) * max(sb, float(np.linalg.norm(b.entries)))
+    threshold = COMMUTATOR_RTOL * _floor(float(np.linalg.norm(a.entries)), sa) * _floor(float(np.linalg.norm(b.entries)), sb)
     return commutator_norm(a, b) <= threshold

@@ -471,19 +471,21 @@ class TestContext:
         assert result.exit_code == 0, result.output
         assert report_of(result)["results"]["n_labels"] == 2
 
-    def test_near_commuting_pair_is_numeric_failure(self, runner, tmp_path):
-        # B = diag(3, 4) + 5e-10 X passes the commutation test with A = diag(1, 2), but the product AB is not
-        # Hermitian within 1e-12 of its norm: one line and exit 3, not a traceback and exit 1
-        a = write_matrix(tmp_path / "a.json", np.diag([1.0, 2.0]))
-        b = write_matrix(tmp_path / "b.json", np.diag([3.0, 4.0]) + 5e-10 * PAULI_X)
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_near_commuting_family_is_a_context(self, runner, tmp_path, members):
+        # B = diag(3, 4) + 5e-10 X and C = diag(5, 6) + 5e-10 X pass the commutation test with A = diag(1, 2), and their
+        # products fail the 1e-12 input hermiticity rule (skew Frobenius norms 1.8e-10 and 2.9e-9): commutes bounded
+        # that skew part, so the combined operator is symmetrized without the input rule applied again
+        near = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0]) + 5e-10 * PAULI_X, np.diag([5.0, 6.0]) + 5e-10 * PAULI_X]
+        paths = [write_matrix(tmp_path / f"m{i}.json", m) for i, m in enumerate(near[:members])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
-            result = runner.invoke(cli, ["context", a, b])
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [
-            "internal numeric failure: matrix is not Hermitian within tolerance (skew Frobenius norm 1.784e-10)"
-        ]
+            result = runner.invoke(cli, ["context", *paths])
+        assert result.exit_code == 0, result.output
+        report = report_of(result)
+        assert report["pass"] is True
+        assert report["results"]["n_labels"] == 2
+        assert report["results"]["max_operator_error"] <= 1e-8
 
     def test_seed_moves_only_the_homomorphism_check(self, runner, tmp_path):
         rng = np.random.default_rng(9)
@@ -552,6 +554,17 @@ class TestNogo:
         x = write_matrix(tmp_path / "x.json", 2.0**-20 * PAULI_X)
         result = runner.invoke(cli, ["nogo", z, x])
         assert result.exit_code == 3, result.output
+
+    def test_near_commuting_pair_is_commuting(self, runner, tmp_path):
+        # the pair that context accepts takes nogo's commuting branch: the two commands share one commutation rule
+        a = write_matrix(tmp_path / "a.json", np.diag([1.0, 2.0]))
+        b = write_matrix(tmp_path / "b.json", np.diag([3.0, 4.0]) + 5e-10 * PAULI_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            result = runner.invoke(cli, ["nogo", a, b])
+        assert result.exit_code == 0, result.output
+        results = report_of(result)["results"]
+        assert results["branch"] == "commuting" and results["n_labels"] == 2
 
     def test_same_file_commutes(self, runner, files):
         result = runner.invoke(cli, ["nogo", files["pauli_x"], files["pauli_x"]])

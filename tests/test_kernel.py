@@ -21,6 +21,7 @@ from helpers import (
 
 from hobs import (
     DimensionMismatch,
+    HermiticityViolation,
     StateVector,
     GammaModel,
     HiddenObservable,
@@ -812,6 +813,26 @@ class TestPropositions:
             warnings.simplefilter("error")  # as under python -W error: huge entries must not overflow a norm
             with pytest.raises(NotAProjector):
                 proposition_from_projector(bad)
+
+    @staticmethod
+    def skewed_projector(relative_skew):
+        # a rank-one projector of Frobenius norm 1 plus a real antisymmetric part of Frobenius norm relative_skew
+        return np.full((2, 2), 0.5) + relative_skew / math.sqrt(2.0) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def test_projector_skew_is_held_to_the_operator_rule(self):
+        # 1e-11 is above validate_hermitian's 1e-12 of max(1, ||E||_F): a projector is held to that rule, not a looser one
+        E = self.skewed_projector(1e-11)
+        with pytest.raises(HermiticityViolation) as operator_error:
+            validate_hermitian(E)
+        with pytest.raises(NotAProjector) as projector_error:
+            proposition_from_projector(E)
+        assert str(projector_error.value) == str(operator_error.value)
+        assert isinstance(projector_error.value.__cause__, HermiticityViolation)
+
+    def test_accepted_projector_is_symmetrized_as_an_operator_is(self):
+        E = self.skewed_projector(1e-13)
+        entries = proposition_from_projector(E).operator.entries
+        assert entries.tobytes() == validate_hermitian(E).entries.tobytes()
 
 
 def weights_from_projectors(projectors, rays):

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from hobs import (
     validate_hermitian,
 )
 from hobs.mixed import ensemble_from_density
-from hobs.spectral import _cluster_means
+from hobs.spectral import _cluster_means, _floor
 
 
 class TestValidateHermitian:
@@ -353,6 +354,14 @@ class TestCommutator:
         B = op(10.0 ** scale_exponents[1] * (A.entries @ A.entries + nudge))
         threshold = 1e-10 * max(1.0, np.linalg.norm(A.entries)) * max(1.0, np.linalg.norm(B.entries))
         assert commutes(A, B) == (commutator_norm(A, B) <= threshold)
+
+
+class TestFloor:
+    @given(exponent=st.integers(-1074, 1023), x=st.floats(min_value=0.0, allow_infinity=False))
+    def test_floor_of_a_binary_scaled_copy_is_the_scaled_floor(self, exponent, x):
+        # so a tolerance floored on a copy scaled by a power of two s is s times the one floored at 1, bit for bit
+        s = math.ldexp(1.0, exponent)
+        assert _floor(s * x, s) == s * max(1.0, x)
 
 
 class TestDensityAndStateValidation:
