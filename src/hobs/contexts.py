@@ -19,7 +19,7 @@ prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from .spectral import (
     _cluster_offsets,
     _floor,
     _relative_error,
-    _skew_part,
     commutes,
 )
 
@@ -149,10 +148,15 @@ def joint_diagonalize(family: Sequence[HermitianOperator]) -> Context:
                 f"the refined joint eigenspaces do not reconstruct family member {i} (relative error {error:.3e})"
             )
         transfers.append(table)
+    return _context(decomposition, zip(ops, transfers))
+
+
+def _context(decomposition: SpectralDecomposition, members: Iterable[tuple[HermitianOperator, np.ndarray]]) -> Context:
+    """The context whose generator has decomposition's labels as eigenvalues, one member per (operator, values)."""
+    labels = decomposition.eigenvalues
     generator = HermitianOperator(entries=decomposition.operator_with_values(labels))
     f0 = HiddenObservable(operator=generator, decomposition=decomposition, values=labels)
-    members = tuple(replace(f0, operator=op, values=table) for op, table in zip(ops, transfers))
-    return Context(f0=f0, members=members)
+    return Context(f0=f0, members=tuple(replace(f0, operator=op, values=values) for op, values in members))
 
 
 def _combined_table(tables: np.ndarray, coeffs: np.ndarray, op: str) -> np.ndarray:
@@ -169,7 +173,9 @@ def context_combine(
     """Pointwise combination of member functions, paired with the operator.
 
     "sum" builds sum of c_i * f_i, "product" the product of c_i * f_i;
-    the paired operator is the same combination of member operators.
+    the paired operator is the same combination of member operators,
+    made Hermitian by HermitianOperator and not held to the input rule
+    again: commutes already bounded a product's skew part.
     """
     if op not in ("sum", "product"):
         raise ValueError(f"op must be 'sum' or 'product', got {op!r}")
@@ -187,17 +193,15 @@ def context_combine(
                 entries = entries @ (c * member.operator.entries)
     if not (np.all(np.isfinite(table)) and np.all(np.isfinite(entries))):
         raise NonFiniteInput(f"the {op} combination of this family is not representable in double precision")
-    operator = HermitianOperator(entries=entries - _skew_part(entries))  # commutes bounded a product's skew part
+    operator = HermitianOperator(entries=entries)
     return replace(ctx.f0, operator=operator, values=table), operator
 
 
 @dataclass(frozen=True)
 class HomomorphismReport:
-    trials: int
     max_additive_deviation: float  # pointwise; zero when exact
     max_multiplicative_deviation: float
     max_operator_error: float  # reconstructed vs combined operator, Frobenius
-    operator_tolerance: float
     passed: bool
 
 
@@ -238,11 +242,9 @@ def homomorphism_check(
             max_op = max(max_op, _relative_error(rebuilt.entries, op.entries))
     passed = max_add == 0.0 and max_mul == 0.0 and max_op <= operator_tol
     return HomomorphismReport(
-        trials=trials,
         max_additive_deviation=max_add,
         max_multiplicative_deviation=max_mul,
         max_operator_error=max_op,
-        operator_tolerance=operator_tol,
         passed=passed,
     )
 
@@ -259,7 +261,6 @@ class NogoReport:
     witness_ray: Optional[np.ndarray]
     reconstruction_error: float
     context: Optional[Context]
-    caveats: tuple[str, ...]
 
 
 def _compass_polish(objective, v0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
@@ -326,7 +327,6 @@ def nogo_witness(
             witness_ray=None,
             reconstruction_error=0.0,
             context=ctx,
-            caveats=(SHARED_U_CAVEAT,),
         )
 
     h = SharedParameterSum(parts=(build_hidden_observable(A), build_hidden_observable(B)))
@@ -361,7 +361,6 @@ def nogo_witness(
         witness_ray=witness / np.linalg.norm(witness),
         reconstruction_error=reconstruction_error,
         context=None,
-        caveats=(SHARED_U_CAVEAT,),
     )
 
 
@@ -408,7 +407,4 @@ def make_partition_context(projectors: Sequence) -> Context:
         blocks = [complement] + blocks
     offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     decomposition = SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.hstack(blocks), offsets=offsets)
-    generator = HermitianOperator(entries=decomposition.operator_with_values(eigenvalues))
-    f0 = HiddenObservable(operator=generator, decomposition=decomposition, values=eigenvalues)
-    members = tuple(replace(f0, operator=p.operator, values=eigenvalues == n) for n, p in enumerate(props, start=1))
-    return Context(f0=f0, members=members)
+    return _context(decomposition, ((p.operator, eigenvalues == n) for n, p in enumerate(props, start=1)))

@@ -350,12 +350,10 @@ def line_mean(h: HiddenObservable | SharedParameterSum, psi: StateVector) -> flo
 
 @dataclass(frozen=True)
 class MomentReport:
-    orders: tuple[int, ...]
     line_moments: tuple[float, ...]
     operator_moments: tuple[float, ...]
     errors: tuple[float, ...]
     scales: tuple[float, ...]  # max(1, ||T||_2^n), the per-order error scale
-    tolerance: float
     passed: bool
 
 
@@ -370,12 +368,11 @@ def moments_check(f: HiddenObservable, psi: StateVector, n_max: int, tol: float)
     p = line_weights(f.decomposition, psi)
     lams = f.values
     norm = float(np.max(np.abs(lams)))
-    orders, lhs, rhs, errs, scales = [], [], [], [], []
+    lhs, rhs, errs, scales = [], [], [], []
     power = np.eye(f.dim, dtype=complex)
     for n in range(n_max + 1):
         left = float(np.dot(p, lams**n))
-        right = expectation(HermitianOperator(entries=(power + power.conj().T) / 2.0), psi)
-        orders.append(n)
+        right = expectation(HermitianOperator(entries=power), psi)
         lhs.append(left)
         rhs.append(right)
         errs.append(abs(left - right))
@@ -383,12 +380,10 @@ def moments_check(f: HiddenObservable, psi: StateVector, n_max: int, tol: float)
         power = power @ f.operator.entries
     passed = all(e <= tol * s for e, s in zip(errs, scales))
     return MomentReport(
-        orders=tuple(orders),
         line_moments=tuple(lhs),
         operator_moments=tuple(rhs),
         errors=tuple(errs),
         scales=tuple(scales),
-        tolerance=tol,
         passed=passed,
     )
 
@@ -491,9 +486,10 @@ def proposition_from_projector(E) -> HiddenObservable:
     the indicator takes exactly those values.
     """
     try:
-        E = validate_hermitian(E).entries  # finite, square and Hermitian by the one hermiticity rule, and symmetrized
+        operator = validate_hermitian(E)  # finite, square and Hermitian by the one hermiticity rule, and symmetrized
     except HobsError as exc:
         raise NotAProjector(str(exc)) from exc
+    E = operator.entries
     # an entry part of modulus >= 2 means an eigenvalue |L| >= 2 and ||E @ E - E|| >= L^2/2: rejected before E @ E overflows
     if np.max(np.abs(E.view(float))) >= 2.0:
         raise NotAProjector("matrix is not idempotent within tolerance")
@@ -502,7 +498,7 @@ def proposition_from_projector(E) -> HiddenObservable:
     w, vectors = np.linalg.eigh(E)
     offsets = _cluster_offsets(w, 0.5)  # the eigenvalues near 0, then those near 1
     S = SpectralDecomposition(eigenvalues=(_cluster_means(w, offsets)[0] > 0.5) * 1.0, vectors=vectors, offsets=offsets)
-    return HiddenObservable(operator=HermitianOperator(entries=E), decomposition=S, values=S.eigenvalues)
+    return HiddenObservable(operator=operator, decomposition=S, values=S.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

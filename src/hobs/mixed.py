@@ -178,7 +178,7 @@ class SampleStream:
 
 def _components(mu: HiddenMixedState) -> tuple[np.ndarray, int]:
     """The `_padded` cumulative component weights that word 0 of a sample is searched in."""
-    return _padded(np.minimum(np.cumsum(mu.ensemble.weights), 1.0))
+    return _padded(_cumulative(mu.ensemble.weights))
 
 
 def _sampling_tables(f: HiddenObservable, mu: HiddenMixedState):
@@ -259,7 +259,6 @@ def _threaded_blocks(fn, blocks, workers: int):
 class McEstimate:
     mean: float
     std_error: float
-    n_samples: int
 
 
 def mc_estimate(
@@ -298,7 +297,7 @@ def mc_estimate(
         d = x - x[0]
         shift = (counts @ d) / n
         m2 = counts @ (d - shift) ** 2
-    return McEstimate(mean=float(x[0] + shift), std_error=math.sqrt(m2 / (n - 1) / n), n_samples=n)
+    return McEstimate(mean=float(x[0] + shift), std_error=math.sqrt(m2 / (n - 1) / n))
 
 
 def dump_samples_csv(

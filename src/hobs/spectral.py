@@ -46,13 +46,23 @@ def _as_complex_matrix(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A d x d complex Hermitian matrix."""
+    """A d x d complex Hermitian matrix, Hermitian by construction.
+
+    The one symmetrization: the entries stored are m - (m/2 - m^dagger/2),
+    and a pair that rounding leaves apart takes the conjugate of its lower
+    entry above the diagonal.  An exactly Hermitian m keeps its bits,
+    subnormals and -0.0 included.  How far m may be from Hermitian is
+    validate_hermitian's check.
+    """
 
     entries: np.ndarray
-    correction: float = 0.0  # Frobenius norm of the symmetrized-away skew part
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(np.array(self.entries, dtype=complex)))
+        m = np.array(self.entries, dtype=complex)
+        h = m - _skew_part(m)
+        apart = np.triu(h != h.conj().T)
+        h[apart] = h.conj().T[apart]
+        object.__setattr__(self, "entries", _readonly(h))
 
     @property
     def dim(self) -> int:
@@ -128,11 +138,10 @@ class SpectralDecomposition:
         return self.vectors.shape[0]
 
     def operator_with_values(self, values) -> np.ndarray:
-        """The Hermitian matrix sum of values[i] * P_i."""
+        """The matrix sum of values[i] * P_i, Hermitian up to rounding (HermitianOperator makes it exactly so)."""
         sizes = np.diff(self.offsets, append=self.vectors.shape[1])
         v = self.vectors
-        m = (v * np.repeat(np.asarray(values, dtype=float), sizes)) @ v.conj().T
-        return m / 2.0 + m.conj().T / 2.0  # halving first cannot overflow, and is exact above the subnormals
+        return (v * np.repeat(np.asarray(values, dtype=float), sizes)) @ v.conj().T
 
 
 def _cluster_offsets(sorted_values: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -181,21 +190,18 @@ def _skew_part(m: np.ndarray) -> np.ndarray:  # halving first cannot overflow, a
 
 
 def validate_hermitian(raw) -> HermitianOperator:
-    """Accept a square matrix as Hermitian, symmetrizing rounding residue.
+    """Accept a finite square matrix H as Hermitian within tolerance.
 
-    The skew part H/2 - H^dagger/2 is folded back into the operator and
-    its Frobenius norm recorded as `correction`; above tolerance the
-    input is rejected instead.
+    The Frobenius norm of the skew part H/2 - H^dagger/2 is held to
+    HERMITICITY_RTOL * max(1, ||H||_F); above it the input is rejected.
+    An accepted H is symmetrized by HermitianOperator.
     """
     m = _as_complex_matrix(raw)
-    skew = _skew_part(m)
     scale = _binary_scale(m)
-    correction = float(np.linalg.norm(scale * skew)) / scale
-    if correction * scale > HERMITICITY_RTOL * _floor(float(np.linalg.norm(scale * m)), scale):
-        raise HermiticityViolation(
-            f"matrix is not Hermitian within tolerance (skew Frobenius norm {correction:.3e})"
-        )
-    return HermitianOperator(entries=m - skew, correction=correction)
+    skew = float(np.linalg.norm(scale * _skew_part(m))) / scale
+    if skew * scale > HERMITICITY_RTOL * _floor(float(np.linalg.norm(scale * m)), scale):
+        raise HermiticityViolation(f"matrix is not Hermitian within tolerance (skew Frobenius norm {skew:.3e})")
+    return HermitianOperator(entries=m)
 
 
 def spectral_decompose(T: HermitianOperator) -> SpectralDecomposition:
@@ -277,7 +283,8 @@ def commutator_norm(A: HermitianOperator, B: HermitianOperator) -> float:
 
 def commutes(A: HermitianOperator, B: HermitianOperator) -> bool:
     """||[A,B]|| <= rtol * max(1, ||A||) * max(1, ||B||), tested on binary-scaled copies."""
+    _check_dims(A.dim, B.dim)
     sa, sb = _binary_scale(A.entries), _binary_scale(B.entries)
-    a, b = HermitianOperator(entries=sa * A.entries), HermitianOperator(entries=sb * B.entries)
-    threshold = COMMUTATOR_RTOL * _floor(float(np.linalg.norm(a.entries)), sa) * _floor(float(np.linalg.norm(b.entries)), sb)
-    return commutator_norm(a, b) <= threshold
+    a, b = sa * A.entries, sb * B.entries
+    threshold = COMMUTATOR_RTOL * _floor(float(np.linalg.norm(a)), sa) * _floor(float(np.linalg.norm(b)), sb)
+    return float(np.linalg.norm(a @ b - b @ a)) <= threshold

@@ -13,7 +13,6 @@ from hobs import (
     HiddenPoint,
     NotCommuting,
     NotOrthogonalFamily,
-    SHARED_U_CAVEAT,
     build_hidden_observable,
     context_combine,
     homomorphism_check,
@@ -256,7 +255,6 @@ class TestNogoWitness:
         report = nogo_witness(op(np.diag([1.0, 2.0])), op(np.diag([5.0, 5.0])), search=16)
         assert report.branch == "commuting"
         assert report.context is not None
-        assert SHARED_U_CAVEAT in report.caveats
 
     def test_equal_operators_commute(self):
         rng = np.random.default_rng(8)

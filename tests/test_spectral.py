@@ -28,13 +28,12 @@ from hobs import (
     validate_hermitian,
 )
 from hobs.mixed import ensemble_from_density
-from hobs.spectral import _cluster_means, _floor
+from hobs.spectral import HermitianOperator, _cluster_means, _floor
 
 
 class TestValidateHermitian:
     def test_identity_accepted_no_correction(self):
         T = validate_hermitian(np.eye(2))
-        assert T.correction == 0.0
         assert np.array_equal(T.entries, np.eye(2, dtype=complex))
 
     def test_pauli_y_accepted(self):
@@ -59,7 +58,6 @@ class TestValidateHermitian:
     def test_rounding_skew_symmetrized(self):
         raw = PAULI_Z + np.array([[0.0, 1e-15], [-1e-15, 0.0]])
         T = validate_hermitian(raw)
-        assert 0.0 < T.correction < 1e-13
         assert np.array_equal(T.entries, T.entries.conj().T)
 
 
@@ -147,6 +145,68 @@ def _bits(a) -> list[int]:
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _EDGE_FLOATS = st.sampled_from([1.7e308, -1.7e308, 1e-310, -1e-310, -0.0, 0.0, 0.1, 0.7])
+
+
+def _exactly_hermitian(data, dim: int, parts) -> np.ndarray:
+    """A matrix whose diagonal is real and whose lower triangle is the conjugate of its upper one."""
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        m[i, i] = data.draw(parts)
+        for j in range(i + 1, dim):
+            m[i, j] = complex(data.draw(parts), data.draw(parts))
+            m[j, i] = m[i, j].conjugate()
+    return m
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """m - (m/2 - m^dagger/2), the formula HermitianOperator starts from, written out here."""
+    return m - (m / 2.0 - m.conj().T / 2.0)
+
+
+class TestHermitianOperator:
+    def test_any_matrix_is_stored_hermitian(self):
+        T = HermitianOperator(entries=[[1, 2], [3, 4]])
+        assert np.array_equal(T.entries, T.entries.conj().T)
+        assert T.entries.tolist() == [[1, 2.5], [2.5, 4]]
+
+    def test_pair_rounded_apart_is_mirrored(self):
+        # 1e-13 and 1e-14 differ by more than a factor of two, so the skew half-difference rounds: the
+        # formula alone leaves 5.5e-14 above the diagonal and 5.5000000000000005e-14 below it
+        raw = np.array([[1.0, 1e-13], [1e-14, 1.0]], dtype=complex)
+        assert _symmetrized(raw)[0, 1] == 5.5e-14 and _symmetrized(raw)[1, 0] == 5.5000000000000005e-14
+        T = validate_hermitian(raw)
+        assert np.array_equal(T.entries, T.entries.conj().T)
+        assert T.entries[0, 1] == T.entries[1, 0] == 5.5000000000000005e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_exactly_hermitian_keeps_its_bits(self, data, dim):
+        m = _exactly_hermitian(data, dim, _FLOATS | _EDGE_FLOATS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            stored = HermitianOperator(entries=m).entries
+        assert _bits(stored.view(float)) == _bits(m.view(float))  # subnormals, -0.0 and 1.7e308 included
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4))
+    def test_skew_within_tolerance_is_made_exactly_hermitian(self, data, dim):
+        m = _exactly_hermitian(data, dim, _FLOATS | _EDGE_FLOATS)
+        units = st.floats(-1.0, 1.0)
+        k = np.array([[complex(data.draw(units), data.draw(units)) for _ in range(dim)] for _ in range(dim)])
+        # each skew entry is at most sqrt(2) * 1e-13 * max(1, max|m|), so over at most 16 entries the skew Frobenius
+        # norm stays below 5.7e-13 * max(1, max|m|), within validate_hermitian's 1e-12 * max(1, ||raw||_F)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = m + 1e-13 * max(1.0, float(np.max(np.abs(m.view(float))))) * k
+        if not np.all(np.isfinite(raw)):  # a perturbed entry beyond the largest double is no input
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stored = validate_hermitian(raw).entries
+        expected = _symmetrized(raw)
+        assert np.array_equal(stored, stored.conj().T)
+        assert _bits(np.tril(stored).view(float)) == _bits(np.tril(expected).view(float))
+        kept = np.triu(expected == expected.conj().T)  # pairs the formula alone leaves exactly Hermitian
+        assert _bits(stored[kept].view(float)) == _bits(expected[kept].view(float))
 
 
 class TestClusterMeans:
